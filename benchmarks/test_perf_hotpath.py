@@ -17,12 +17,11 @@ Times the four layers the fused/vectorized refactors target —
   so the win is the padding fraction of the workload),
 * the compute-dtype substrate: the identical epoch / decode /
   federated-round workloads at float32 vs float64 kernels
-  (``nn.use_compute_dtype``), with the measured segment-accuracy and
-  log-probability drift recorded next to the speedups,
+  (``nn.execution(compute_dtype=...)``), with the measured
+  segment-accuracy and log-probability drift recorded next to the speedups,
 * the array-backend seam: the ``call_kernel`` dispatch overhead (gated
   < 2%) and the workspace backend's buffer-reusing kernels vs the
-  reference on the epoch and packed-decode hot paths (``numba`` legs
-  recorded only when that backend registered),
+  reference on the epoch and packed-decode hot paths,
 
 and writes the measurements (plus a ``meta`` provenance block: backend,
 numpy/BLAS, cpu count, compute dtype) to ``BENCH_hotpath.json`` at the
@@ -33,7 +32,7 @@ cannot beat serial on a single-core container); ``cpus`` is recorded
 alongside the numbers so the JSON is interpretable either way.
 
 The baseline epoch leg reconstructs the *pre-PR* hot path faithfully:
-per-step tape kernels (``use_fused_kernels(False)``), the per-point
+per-step tape kernels (``execution(fused_kernels=False)``), the per-point
 ``ConstraintMaskBuilder.build_reference`` double loop, and a
 per-parameter-tensor Adam/clip loop.  Marked ``slow``: tier-1
 (`pytest -x -q`) skips it; run with
@@ -181,7 +180,7 @@ def _time_encoder() -> dict:
 
     timings = {}
     for label, fused in (("fused", True), ("stepwise", False)):
-        with nn.use_fused_kernels(fused):
+        with nn.execution(fused_kernels=fused):
             run()  # warm up
             timings[label] = _best_of(run)
     timings["speedup"] = timings["stepwise"] / timings["fused"]
@@ -201,7 +200,7 @@ def _time_epoch() -> dict:
     rng = np.random.default_rng(4)
     run = lambda: _run_epoch(model, dataset, mask_builder, optimizer,
                              nn.clip_grad_norm, rng)
-    with nn.use_fused_kernels(True):
+    with nn.execution(fused_kernels=True):
         run()  # warm caches
         timings["fused"] = _best_of(run)
 
@@ -220,7 +219,7 @@ def _time_epoch() -> dict:
         _run_epoch(model, dataset, mask_builder, optimizer,
                    _reference_clip_grad_norm, rng)
 
-    with nn.use_fused_kernels(False):
+    with nn.execution(fused_kernels=False):
         run_baseline()
         timings["stepwise_pre_pr"] = _best_of(run_baseline)
 
@@ -329,7 +328,7 @@ def _time_decode() -> dict:
             return decode_model(model, batch, log_mask)
 
     def run_padded():
-        with nn.use_packed_decode(False), nn.no_grad():
+        with nn.execution(packed_decode=False), nn.no_grad():
             return decode_model(model, batch, log_mask)
 
     packed_out = run_packed()  # warm caches both ways
@@ -362,7 +361,7 @@ DTYPE_FED_ROUNDS = 2
 def _time_compute_dtype() -> dict:
     """float32 vs float64 compute substrate: epoch, decode, fed round.
 
-    Each leg builds its world under :func:`nn.use_compute_dtype` and
+    Each leg builds its world under ``nn.execution(compute_dtype=...)`` and
     times the identical workload at both precisions; alongside the
     timings it records the measured accuracy/loss drift (the audited
     cost of the speedup).  float64 is the reference; the epoch gate
@@ -388,7 +387,7 @@ def _time_compute_dtype() -> dict:
     legs: dict[str, dict] = {}
     outputs: dict[str, dict] = {}
     for dtype in ("float64", "float32"):
-        with nn.use_compute_dtype(dtype):
+        with nn.execution(compute_dtype=dtype):
             model = LTEModel(config, np.random.default_rng(3))
             mask_builder = ConstraintMaskBuilder(world.network, radius=500.0)
             optimizer = nn.Adam(model.parameters(), lr=1e-3)
@@ -485,8 +484,7 @@ def _time_backend() -> dict:
       the buffered ST decode step.
 
     The workspace results are asserted bitwise identical to reference
-    (same ops, same order — only the allocations change); ``numba``
-    legs are recorded only when that backend registered.
+    (same ops, same order — only the allocations change).
     """
     from repro.nn.backend import call_kernel
     from repro.nn.recurrent import _gru_forward_ref
@@ -498,7 +496,7 @@ def _time_backend() -> dict:
                  np.zeros((b, hidden)),
                  rng.standard_normal((hidden, 2 * hidden)) * 0.1,
                  rng.standard_normal((hidden, hidden)) * 0.1, None)
-    with nn.use_backend("reference"):
+    with nn.execution(backend="reference"):
         _gru_forward_ref(*scan_args)  # warm
         direct = _best_of(lambda: _gru_forward_ref(*scan_args))
         dispatched = _best_of(lambda: call_kernel(
@@ -515,13 +513,12 @@ def _time_backend() -> dict:
     ragged = TrajectoryDataset.from_matched(trimmed, world.grid,
                                             world.network, keep_ratio=0.25)
 
-    backends = [name for name in ("reference", "workspace", "numba")
-                if name in nn.available_backends()]
+    backends = ("reference", "workspace")
     legs: dict[str, dict] = {}
     flats: dict[str, np.ndarray] = {}
     decodes: dict[str, object] = {}
     for name in backends:
-        with nn.use_backend(name):
+        with nn.execution(backend=name):
             model = LTEModel(config, np.random.default_rng(3))
             mask_builder = ConstraintMaskBuilder(world.network, radius=500.0)
             optimizer = nn.Adam(model.parameters(), lr=1e-3)
@@ -575,12 +572,12 @@ def _meta() -> dict:
     except Exception:
         pass  # older numpy without dict mode: leave null
     return {
-        "backend": nn.get_backend(),
+        "backend": nn.current_execution().backend,
         "available_backends": list(nn.available_backends()),
         "numpy": np.__version__,
         "blas": blas,
         "cpus": _usable_cpus(),
-        "compute_dtype": nn.get_compute_dtype().name,
+        "compute_dtype": nn.current_execution().compute_dtype.name,
     }
 
 

@@ -48,7 +48,7 @@ class FCRecoveryModel(RecoveryModel):
         x = nn.concat([emb, nn.Tensor(batch.obs_feats)], axis=-1)
         feats = self.pool_mlp(x)  # (B, To, H)
         # Masked mean pool over observed points.
-        weights = batch.obs_mask.astype(nn.get_compute_dtype())
+        weights = batch.obs_mask.astype(nn.current_execution().compute_dtype)
         denom = np.maximum(weights.sum(axis=1, keepdims=True), 1.0)
         pooled = (feats * nn.Tensor(weights[:, :, None])).sum(axis=1) * nn.Tensor(1.0 / denom)
 

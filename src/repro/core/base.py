@@ -109,7 +109,8 @@ class RecoveryModel(nn.Module):
         recorded or the model has no program — callers then take their
         per-step reference loop.
         """
-        if nn.is_grad_enabled() or not nn.packed_decode_enabled():
+        config = nn.current_execution()
+        if config.grad or not config.packed_decode:
             return None
         program = self.decode_program(batch, log_mask)
         if program is None:
@@ -164,7 +165,7 @@ class RecoveryModel(nn.Module):
         # Built in float64 (guide normalisation reads float64 planar
         # coordinates), handed to the decode kernels in the compute
         # dtype — one cast here instead of an upcast every step.
-        return extras.astype(nn.get_compute_dtype(), copy=False)
+        return extras.astype(nn.current_execution().compute_dtype, copy=False)
 
     def _normalise_guides(self, guide_xy: np.ndarray) -> np.ndarray:
         """Map guide positions into roughly [-1, 1] model coordinates."""

@@ -99,11 +99,12 @@ class LTEModel(RecoveryModel):
         h = self.encode(batch)
         extras = self._step_extras(batch)
 
-        if nn.fused_kernels_enabled():
+        config = nn.current_execution()
+        if config.fused_kernels:
             if teacher_forcing:
                 return self._forward_teacher_forced_fused(batch, log_mask, h,
                                                           extras)
-            if not nn.is_grad_enabled():
+            if not config.grad:
                 return self._forward_inference_fused(batch, log_mask, h, extras)
         if isinstance(log_mask, SparseConstraintMask):
             # The per-step reference loop indexes the mask densely.
@@ -135,7 +136,7 @@ class LTEModel(RecoveryModel):
         per-step reference path (fusion disabled) has no program — the
         serving layer then falls back to the padded tape decode.
         """
-        if not nn.fused_kernels_enabled():
+        if not nn.current_execution().fused_kernels:
             return None
         self._validate_mask(log_mask, batch, self.config.num_segments)
         h = self.encode(batch)

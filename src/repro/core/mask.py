@@ -25,10 +25,10 @@ else is derived from that pool on demand:
 * :meth:`ConstraintMaskBuilder.build` densifies pool rows lazily into a
   ``(U, S)`` row matrix and gathers the dense ``(B, T, S)`` mask from
   it (the reference representation, kept behind
-  :func:`repro.nn.use_sparse_masks`);
+  ``nn.execution(sparse_masks=False)``);
 * :meth:`ConstraintMaskBuilder.build_for` picks between the two based
-  on the global sparse-mask flag and the consuming model's
-  ``supports_sparse_mask``.
+  on the current execution config's ``sparse_masks`` field and the
+  consuming model's ``supports_sparse_mask``.
 
 Segments outside the search radius carry the finite ``floor`` log
 weight (:data:`_FLOOR_LOG`) in the dense representation; the sparse one
@@ -43,14 +43,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.dataset import Batch
-from ..nn.backend import (
-    backend_generation,
-    get_backend,
-    ops,
-    register_kernel,
-)
-from ..nn.dtypes import get_compute_dtype
-from ..nn.fusion import sparse_masks_enabled
+from ..nn.backend import ops, register_kernel
+from ..nn.execution import current_execution
 from ..spatial.geometry import Point
 from ..spatial.index import SegmentIndex
 from ..spatial.roadnet import RoadNetwork
@@ -121,8 +115,8 @@ class SparseConstraintMask:
         rows = int(np.prod(shape[:-1]))
         return cls(shape, np.zeros(rows + 1, dtype=np.int64),
                    np.empty(0, dtype=np.int64),
-                   np.empty(0, dtype=get_compute_dtype()), floor=0.0,
-                   identity=True)
+                   np.empty(0, dtype=current_execution().compute_dtype),
+                   floor=0.0, identity=True)
 
     @property
     def n_rows(self) -> int:
@@ -297,21 +291,16 @@ class _MaskStepPlan:
 #: and every timed run after the first) reuse the plans the first pass
 #: built instead of re-gathering.  The strong ``mask`` reference inside
 #: each plan pins the object, so a cached id cannot be reused by a
-#: different mask while its entry lives.  Bounded, and cleared whenever
-#: the backend generation moves.
+#: different mask while its entry lives.  Bounded.  Only the workspace
+#: backend's kernel reads it, and plans are immutable, so it needs no
+#: backend key.
 _STEP_PLANS: dict[tuple[int, bytes], _MaskStepPlan] = {}
-_STEP_PLANS_GENERATION = -1
 _STEP_PLANS_CAPACITY = 64
 
 
 def _mask_step_planned(mask: SparseConstraintMask, t: int,
                        rows: np.ndarray) -> SparseConstraintMask:
     """Workspace kernel ``"sparse_mask_step"``: plan-backed step slices."""
-    global _STEP_PLANS_GENERATION
-    generation = backend_generation()
-    if generation != _STEP_PLANS_GENERATION:
-        _STEP_PLANS.clear()
-        _STEP_PLANS_GENERATION = generation
     key = (id(mask), rows.tobytes())
     plan = _STEP_PLANS.get(key)
     if plan is None or plan.mask is not mask or t < plan.t0:
@@ -499,8 +488,8 @@ class ConstraintMaskBuilder:
         the compute dtype changes between builds the matrix re-densifies
         from scratch — a rare, experiment-setup-time event.
         """
-        dtype = get_compute_dtype()
-        backend = get_backend()
+        config = current_execution()
+        dtype, backend = config.compute_dtype, config.backend
         if self._row_matrix.dtype != dtype or self._dense_backend != backend:
             self._row_matrix = np.empty((0, self.network.num_segments),
                                         dtype=dtype)
@@ -553,7 +542,8 @@ class ConstraintMaskBuilder:
         b, t = batch.guide_xy.shape[:2]
         num_segments = self.network.num_segments
         if self.identity:
-            return np.zeros((b, t, num_segments), dtype=get_compute_dtype())
+            return np.zeros((b, t, num_segments),
+                            dtype=current_execution().compute_dtype)
         rows = self._batch_rows(batch)
         self._densify_rows()
         return self._row_matrix[rows].reshape(b, t, num_segments)
@@ -565,10 +555,10 @@ class ConstraintMaskBuilder:
         compute dtype reads a cast mirror that is re-materialised
         whenever the pool grew (or the dtype changed) since last time.
         """
-        dtype = get_compute_dtype()
+        config = current_execution()
+        dtype, backend = config.compute_dtype, config.backend
         if dtype == self._sp_values.dtype:
             return self._sp_values
-        backend = get_backend()
         if (self._sp_values_cast is None
                 or self._sp_values_cast.dtype != dtype
                 or self._sp_cast_used != self._sp_used
@@ -600,12 +590,12 @@ class ConstraintMaskBuilder:
     def build_for(self, batch: Batch, model=None):
         """The mask representation the consuming model should receive.
 
-        Returns :meth:`build_sparse`'s CSR mask when the global
-        :func:`repro.nn.use_sparse_masks` flag is on and ``model``
+        Returns :meth:`build_sparse`'s CSR mask when the current
+        execution config's ``sparse_masks`` field is on and ``model``
         (when given) advertises ``supports_sparse_mask``; otherwise the
         dense :meth:`build` array.
         """
-        if sparse_masks_enabled() and (
+        if current_execution().sparse_masks and (
                 model is None or getattr(model, "supports_sparse_mask", False)):
             return self.build_sparse(batch)
         return self.build(batch)
@@ -641,7 +631,7 @@ class ConstraintMaskBuilder:
         """
         b, t = batch.guide_xy.shape[:2]
         out = np.empty((b, t, self.network.num_segments),
-                       dtype=get_compute_dtype())
+                       dtype=current_execution().compute_dtype)
         for i in range(b):
             for j in range(t):
                 out[i, j] = self.log_mask_for_point(

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..nn.backend import get_backend
-from ..nn.dtypes import get_compute_dtype
+from ..nn.execution import current_execution
 from ..spatial.grid import Grid
 from ..spatial.roadnet import RoadNetwork
 from .downsample import downsample
@@ -53,7 +52,7 @@ class Batch:
     """A padded mini-batch of recovery examples.
 
     Model-input float fields (``obs_feats``, ``tgt_ratios``) collate in
-    the active *compute dtype* (:func:`repro.nn.set_compute_dtype`) so
+    the active *compute dtype* (``nn.current_execution().compute_dtype``) so
     float32 runs never pay a float64 copy per batch; ``guide_xy`` stays
     float64 — it feeds spatial mask building, not model kernels.
     """
@@ -251,7 +250,8 @@ class TrajectoryDataset:
         name: flipping either mid-run re-collates instead of serving
         arrays built under the previous configuration.
         """
-        key = (get_compute_dtype().char, get_backend()) + key
+        config = current_execution()
+        key = (config.compute_dtype.char, config.backend) + key
         batch = self._batch_cache.get(key)
         if batch is not None:
             self._batch_cache.move_to_end(key)
@@ -268,7 +268,7 @@ class TrajectoryDataset:
         b = len(chunk)
         to = max(e.num_observed for e in chunk)
         t = max(e.full_length for e in chunk)
-        dtype = get_compute_dtype()
+        dtype = current_execution().compute_dtype
         obs_cells = np.zeros((b, to), dtype=np.int64)
         obs_feats = np.zeros((b, to, 2), dtype=dtype)
         obs_mask = np.zeros((b, to), dtype=bool)

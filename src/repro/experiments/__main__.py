@@ -128,8 +128,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="array backend for kernel math (reference: "
                              "plain NumPy, the default; workspace: "
                              "buffer-reusing hot kernels, bitwise-identical "
-                             "results; numba when that package is "
-                             "installed; see REPRO_BACKEND)")
+                             "results; see REPRO_BACKEND)")
     parser.add_argument("--exchange-codec", default=None, metavar="NAME",
                         help="wire codec for parameter exchange (identity: "
                              "raw float64, the default; float32: half-width "

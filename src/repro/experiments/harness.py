@@ -287,8 +287,8 @@ class ExperimentContext:
         clients, global_test = self.federation(dataset_name, keep_ratio, num_clients)
         config = self.model_config(dataset_name)
         mask = self.mask_builder(dataset_name, identity=mask_identity)
-        with nn.use_compute_dtype(self.scale.compute_dtype), \
-                nn.use_backend(self.scale.backend):
+        with nn.execution(compute_dtype=self.scale.compute_dtype,
+                          backend=self.scale.backend):
             factory = make_model_factory(method, config,
                                          self.dataset(dataset_name).network,
                                          seed=self.scale.seed + 29)
@@ -396,8 +396,8 @@ def run_centralized_comparison(context: ExperimentContext,
             # The centralized leg bypasses run_method, so scope the
             # compute dtype here too — Table VI must compare both
             # methods on the same substrate.
-            with nn.use_compute_dtype(context.scale.compute_dtype), \
-                    nn.use_backend(context.scale.backend):
+            with nn.execution(compute_dtype=context.scale.compute_dtype,
+                              backend=context.scale.backend):
                 factory = make_model_factory("MTrajRec", config,
                                              context.dataset(dataset).network,
                                              seed=context.scale.seed + 29)
@@ -514,8 +514,8 @@ def run_case_study(context: ExperimentContext, dataset_name: str = "tdrive",
     predictions: dict[str, np.ndarray] = {}
     # Trains its own models rather than going through run_method, so
     # scope the compute dtype here too.
-    with nn.use_compute_dtype(context.scale.compute_dtype), \
-            nn.use_backend(context.scale.backend):
+    with nn.execution(compute_dtype=context.scale.compute_dtype,
+                      backend=context.scale.backend):
         for method in methods:
             run_cfg = context.federated_config(use_meta=(method == "LightTR"))
             factory = make_model_factory(method,
@@ -559,8 +559,8 @@ def run_fault_tolerance_sweep(context: ExperimentContext,
     clients, global_test = context.federation(dataset_name, keep_ratio)
     mask = context.mask_builder(dataset_name)
     rows = []
-    with nn.use_compute_dtype(context.scale.compute_dtype), \
-            nn.use_backend(context.scale.backend):
+    with nn.execution(compute_dtype=context.scale.compute_dtype,
+                      backend=context.scale.backend):
         factory = make_model_factory("LightTR",
                                      context.model_config(dataset_name),
                                      context.dataset(dataset_name).network,

@@ -116,9 +116,9 @@ class FederatedClient:
         metrics = self._train_locally(epochs, distiller)
         return self._space.get_flat(), metrics
 
-    def flat_parameters(self, dtype=None) -> np.ndarray:
-        """The current local parameters as one flat vector (exchange
-        dtype by default; pass ``dtype=np.float64`` for an exact copy)."""
+    def flat_parameters(self, dtype=np.float64) -> np.ndarray:
+        """A copy of the local parameters as one flat vector (exact
+        float64 by default)."""
         return self._space.get_flat(dtype=dtype)
 
     # ------------------------------------------------------------------
@@ -170,9 +170,8 @@ class FederatedClient:
         """Adopt a round executed elsewhere (a worker process): the
         trained parameters become the local model state and the returned
         session snapshot replaces the local one.  ``params_flat`` is the
-        exact float64 parameter snapshot when the exchange dtype is
-        reduced (the upload alone would lose the sub-float32 bits a
-        serial client keeps)."""
+        exact float64 parameter snapshot when the codec is lossy (the
+        upload alone would lose the bits a serial client keeps)."""
         self._space.set_flat(upload_flat if params_flat is None else params_flat)
         self.load_session_state(session)
 

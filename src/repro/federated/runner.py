@@ -29,14 +29,14 @@ round histories and final global parameters:
 * every task carries the client's full mutable state (RNG bit-generator
   state, flat Adam/SGD moments), so results do not depend on which
   worker executes which client, or on pool scheduling;
-* tasks also re-assert the process-global switches inside the worker —
-  the kernel-fusion flag, the sparse-constraint-mask flag, the
-  packed-decode flag (the accuracy gates of Algorithm 2 run inference
-  through :mod:`repro.serving`), the exchange dtype, the compute
-  dtype (worker-side models are cast in place if the parent flipped it
-  after pool start-up), and the array-backend selection
-  (:func:`repro.nn.set_backend`) — so both sides run the same kernels
-  over the same mask representation at the same precision;
+* every task carries the submitter's
+  :class:`~repro.nn.execution.ExecutionConfig` (kernel fusion, sparse
+  masks, packed decode — the accuracy gates of Algorithm 2 run
+  inference through :mod:`repro.serving` — compute dtype and array
+  backend) and runs under it, so both sides run the same kernels over
+  the same mask representation at the same precision (worker-side
+  models are cast in place if the parent changed the compute dtype
+  after pool start-up);
 * the trainer submits tasks in ascending client-id order and the
   runners return results in task order, so aggregation order never
   depends on completion order;
@@ -51,7 +51,7 @@ A :class:`RoundTask` must stay cheap to pickle and self-sufficient: the
 flat ``(P,)`` global vector, the client id, the round index, the local
 epoch count, the frozen teacher's flat state (or ``None``), the
 client's session snapshot (or ``None`` for in-process execution), and
-the six global switches above.  Heavy, rebuildable objects never ride
+the execution config above.  Heavy, rebuildable objects never ride
 on tasks — the datasets, road network, constraint-mask builder, and
 fault plan travel once in the :class:`WorkerSetup` (the builder pickles
 *cache-free*: its sparse row pool and dense row mirrors are dropped by
@@ -90,6 +90,7 @@ from ..core.base import RecoveryModel
 from ..core.distill import MetaKnowledgeDistiller
 from ..core.mask import ConstraintMaskBuilder
 from ..core.training import TrainingConfig
+from ..nn.execution import ExecutionConfig
 from ..nn.flatten import FlatParameterSpace
 from .arena import ModelArena
 from .client import ClientData, ClientSessionState, FederatedClient
@@ -174,12 +175,7 @@ class RoundTask:
     epochs: int
     teacher_flat: np.ndarray | None  # float64; None = no distillation
     session: ClientSessionState | None  # None = run on live client state
-    fused_kernels: bool = True
-    sparse_masks: bool = True
-    packed_decode: bool = True
-    exchange_dtype: str = "float64"
-    compute_dtype: str = "float64"
-    backend: str = "reference"
+    execution: ExecutionConfig = ExecutionConfig()  # the submitter's config
     round_index: int = 0  # fault-plan coordinate
     exchange_codec: str = "identity"  # uplink/downlink wire codec name
     defer_stragglers: bool = False  # async mode: no real sleeps
@@ -196,8 +192,8 @@ class RoundResult:
     metrics: dict
     session: ClientSessionState | None  # None when the live client ran in-process
     params_flat: np.ndarray | None = None  # exact float64 params when the
-    # exchange dtype is reduced or the codec is lossy (sync-back must not
-    # round the live client) or when the upload was fault-corrupted
+    # codec is lossy (sync-back must not round the live client) or when
+    # the upload was fault-corrupted
     # (sync-back must not adopt the corruption — only the wire payload
     # is poisoned)
     payload_bytes: int | None = None  # measured wire size of the encoded
@@ -320,17 +316,16 @@ def _encode_upload(task: RoundTask, client: FederatedClient,
     sync-back must not adopt the lossy wire vector (None when the wire
     carries the parameters exactly, i.e. the identity codec).
 
-    Under a non-identity codec the exchange-dtype ladder is bypassed:
-    the codec quantises the *exact* float64 parameters (plus the
-    carried error-feedback residual) and fully determines the wire
-    bytes.  The residual update is a pure function of the parameters
-    and the previous residual, so serial and pool execution — and
-    retries, which restore the session snapshot first — encode
-    bit-identically."""
+    Under a non-identity codec the codec quantises the *exact* float64
+    parameters (plus the carried error-feedback residual) and fully
+    determines the wire bytes.  The residual update is a pure function
+    of the parameters and the previous residual, so serial and pool
+    execution — and retries, which restore the session snapshot first
+    — encode bit-identically."""
     codec = codec_by_name(task.exchange_codec)
     if codec.is_identity:
         return flat, payload_num_bytes(flat), None
-    exact = client.flat_parameters(dtype=np.float64)
+    exact = client.flat_parameters()
     payload, decoded, residual = encode_with_feedback(
         codec, exact, client.codec_residual)
     if codec.error_feedback:
@@ -424,7 +419,7 @@ class SerialRunner(RoundRunner):
             # Snapshot the exact pre-round parameters: a finally-failed
             # client must end the round in its pre-round state, exactly
             # like a pool run whose failed client never syncs back.
-            saved_params = (client.flat_parameters(dtype=np.float64)
+            saved_params = (client.flat_parameters()
                             if task.session is not None else None)
             attempt = 0
             while True:
@@ -528,7 +523,7 @@ class TaskExecutor:
         weights silently upcast every kernel).  Casting parameters in
         place keeps every existing FlatParameterSpace view valid.
         """
-        dtype = nn.get_compute_dtype()
+        dtype = nn.current_execution().compute_dtype
         for model in (*self.arena.models(), self.teacher):
             if model is None:
                 continue
@@ -538,21 +533,11 @@ class TaskExecutor:
 
     def execute(self, task: RoundTask, attempt: int = 0,
                 deadline: float | None = None) -> RoundResult:
-        # Mirror the parent's process-global switches so both backends
-        # run identical kernels over the same mask representation at
-        # identical compute and wire precision.  The previous values are
-        # restored afterwards: every task re-asserts its own flags, so
-        # worker processes lose nothing, and in-process execution (tests,
-        # debugging) cannot leak a task's flags into the caller.
-        previous = (
-            nn.set_fused_kernels(task.fused_kernels),
-            nn.set_sparse_masks(task.sparse_masks),
-            nn.set_packed_decode(task.packed_decode),
-            nn.set_default_dtype(task.exchange_dtype),
-            nn.set_compute_dtype(task.compute_dtype),
-            nn.set_backend(task.backend),
-        )
-        try:
+        # Run under the submitter's execution config so serial and pool
+        # execution use identical kernels, mask representation and
+        # compute precision; the block leaves the caller's config as it
+        # was.
+        with nn.execution(task.execution):
             plan = self.setup.fault_plan
             fault = _inject_pre_train(plan, task, attempt, deadline)
             self._ensure_model_dtype()
@@ -569,28 +554,18 @@ class TaskExecutor:
                 distiller = self._distiller(self._resolve_teacher_flat(task))
                 flat, metrics = client.local_train_flat(task.epochs, distiller)
                 upload, nbytes, params_flat = _encode_upload(task, client, flat)
-                if (params_flat is None
-                        and np.dtype(task.exchange_dtype) != np.float64):
-                    params_flat = client.flat_parameters(dtype=np.float64)
                 upload, corrupted, delay = _apply_post_fault(
                     plan, task, attempt, fault, upload)
                 if corrupted and params_flat is None:
                     # Only the wire payload is poisoned: ship the exact
                     # parameters so sync-back matches a serial client,
                     # whose local model never saw the corruption.
-                    params_flat = client.flat_parameters(dtype=np.float64)
+                    params_flat = client.flat_parameters()
                 return RoundResult(task.client_id, upload, metrics,
                                    client.session_state(), params_flat,
                                    payload_bytes=nbytes, straggler_delay=delay)
             finally:
                 self.arena.checkin(client)
-        finally:
-            nn.set_fused_kernels(previous[0])
-            nn.set_sparse_masks(previous[1])
-            nn.set_packed_decode(previous[2])
-            nn.set_default_dtype(previous[3])
-            nn.set_compute_dtype(previous[4])
-            nn.set_backend(previous[5])
 
 
 #: Backwards-compatible alias (tests patch ``runner._WorkerState``).
@@ -604,8 +579,8 @@ class ArenaRunner(RoundRunner):
     against ``N`` live client objects it drives one
     :class:`TaskExecutor` (sharing the trainer's arena), so tasks are
     executed exactly like a pool worker would — session hydration,
-    flag re-assertion, fault injection — but in-process and with at
-    most ``arena_size`` live models.  ``ships_state`` is True: every
+    execution-config scoping, fault injection — but in-process and with
+    at most ``arena_size`` live models.  ``ships_state`` is True: every
     task carries its shard's session and every result returns the
     trained snapshot for the trainer to store back into the shard.
     """

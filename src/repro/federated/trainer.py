@@ -460,7 +460,7 @@ class FederatedTrainer:
                 f", trainer is {'lazy' if self.lazy else 'eager'} "
                 "(set FederatedConfig.lazy_clients to the mode the run "
                 "was checkpointed in)")
-        expected = self.server.global_flat(dtype=np.float64).size
+        expected = self.server.global_flat().size
         if checkpoint.global_flat.size != expected:
             raise ValueError(
                 f"checkpoint global vector has {checkpoint.global_flat.size} "
@@ -506,11 +506,11 @@ class FederatedTrainer:
             params = tuple(shard.params_flat for shard in self.shards)
         else:
             sessions = tuple(c.session_state() for c in self.clients)
-            params = tuple(c.flat_parameters(dtype=np.float64)
+            params = tuple(c.flat_parameters()
                            for c in self.clients)
         checkpoint = FederatedCheckpoint(
             next_round=next_round,
-            global_flat=self.server.global_flat(dtype=np.float64),
+            global_flat=self.server.global_flat(),
             client_sessions=sessions,
             client_params=params,
             trainer_rng_state=self._rng.bit_generator.state,
@@ -591,8 +591,8 @@ class FederatedTrainer:
         shard = self.shards[result.client_id]
         shard.session = result.session
         # Mirrors FederatedClient.apply_round_result: the exact float64
-        # snapshot when the exchange dtype is reduced, else the upload
-        # itself (already exact float64 in that case).
+        # snapshot when the codec is lossy (or the upload was corrupted),
+        # else the upload itself (already exact float64 in that case).
         exact = (result.upload_flat if result.params_flat is None
                  else result.params_flat)
         shard.params_flat = np.asarray(exact, dtype=np.float64)
@@ -671,8 +671,8 @@ class FederatedTrainer:
     def _broadcast_payload(self):
         """One round's downlink: ``(wire, decoded reference, bytes/client)``.
 
-        Identity codec: the wire *is* the exchange-dtype flat vector,
-        bitwise the pre-codec behaviour.  Otherwise the exact float64
+        Identity codec: the wire *is* the float64 flat vector, bitwise
+        the pre-codec behaviour.  Otherwise the exact float64
         global vector is encoded (carrying the server-side error-
         feedback residual) and every client decodes the same payload,
         so what clients load is exactly ``decoded``.
@@ -680,7 +680,7 @@ class FederatedTrainer:
         if self.codec.is_identity:
             flat = self.server.global_flat()
             return flat, flat, payload_num_bytes(flat)
-        exact = self.server.global_flat(dtype=np.float64)
+        exact = self.server.global_flat()
         payload, decoded, residual = encode_with_feedback(
             self.codec, exact, self._downlink_residual)
         if self.codec.error_feedback:
@@ -708,12 +708,7 @@ class FederatedTrainer:
                 use_setup_teacher=use_setup,
                 session=(self._session_snapshot(client_id)
                          if ship_sessions else None),
-                fused_kernels=nn.fused_kernels_enabled(),
-                sparse_masks=nn.sparse_masks_enabled(),
-                packed_decode=nn.packed_decode_enabled(),
-                exchange_dtype=nn.get_default_dtype().name,
-                compute_dtype=nn.get_compute_dtype().name,
-                backend=nn.get_backend(),
+                execution=nn.current_execution(),
                 round_index=round_index,
                 exchange_codec=self.codec.name,
                 defer_stragglers=defer_stragglers,
@@ -780,7 +775,6 @@ class FederatedTrainer:
         losses: list[float] = []
         lambdas: list[float] = []
         completed: list[int] = []
-        exchange_dtype = nn.get_default_dtype()
         # Stage uploads into the preallocated slab: each screened
         # payload is cast into one float64 row, so finiteness/norm
         # validation and the FedAvg reduction run over a single
@@ -811,11 +805,8 @@ class FederatedTrainer:
                 # Privatise from the original upload object — identical
                 # RNG stream and dtype path to the per-vector era —
                 # then overwrite the (compacted) slab row.
-                flat = self.privatizer.privatize_update_flat(
+                rows[kept] = self.privatizer.privatize_update_flat(
                     result.upload_flat, reference)
-                if self.codec.is_identity:
-                    flat = np.asarray(flat, dtype=exchange_dtype)
-                rows[kept] = flat
             elif kept != row:
                 rows[kept] = rows[row]  # compact over rejected rows
             upload_bytes.append(self._upload_bytes(result))
@@ -1037,7 +1028,7 @@ def train_isolated_then_average(model_factory: Callable[[], RecoveryModel],
     exchange — averaging and ledger accounting alike — moves the same
     flat ``(P,)`` vectors as the main federated path, so byte counts
     are directly comparable between the two (and both honour the
-    exchange dtype of :func:`repro.nn.set_default_dtype`).
+    exchange codec).
     """
     trainer = FederatedTrainer(model_factory, client_data, mask_builder,
                                config, global_test, seed=seed)
@@ -1058,21 +1049,21 @@ def train_isolated_then_average(model_factory: Callable[[], RecoveryModel],
             # A single exchange: encode without a carried residual (there
             # is no next round for error feedback to land in).
             payload, decoded, _ = encode_with_feedback(
-                codec, client.flat_parameters(dtype=np.float64), None)
+                codec, client.flat_parameters(), None)
             flats.append(decoded)
             upload_bytes.append(payload_num_bytes(payload))
         losses.append(float(np.mean(epoch_losses)))
         if trainer.lazy:
             shard = trainer.shards[i]
             shard.session = client.session_state()
-            shard.params_flat = client.flat_parameters(dtype=np.float64)
+            shard.params_flat = client.flat_parameters()
     trainer.server.aggregate_flat(flats)
     ledger = CommunicationLedger()
     # One exchange at the end: every client ships its model to the others.
     if codec.is_identity:
         ledger.record_round(0, trainer.server.global_flat(), flats)
     else:
-        averaged = codec.encode(trainer.server.global_flat(dtype=np.float64))
+        averaged = codec.encode(trainer.server.global_flat())
         ledger.record_round(0, None, flats, num_broadcast=len(flats),
                             broadcast_bytes=payload_num_bytes(averaged),
                             upload_bytes=upload_bytes)

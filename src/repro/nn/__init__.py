@@ -14,37 +14,30 @@ a fused ``addmm`` node, and the optimisers operate on one contiguous
 flat parameter vector (:mod:`repro.nn.flatten`) so an Adam step is a
 handful of vectorized ops rather than a per-tensor Python loop.  The
 original per-step tape path is retained behind
-:func:`~repro.nn.fusion.use_fused_kernels` purely as a reference for
+``execution(fused_kernels=False)`` purely as a reference for
 equivalence tests; both paths produce matching outputs and gradients
 (verified to atol 1e-10 and by finite differences).
 
-All kernel array math dispatches through the pluggable backend seam
-(:mod:`repro.nn.backend`): :func:`use_backend` / ``REPRO_BACKEND``
-select among the ``reference`` NumPy backend (the default), the
-``workspace`` backend (buffer-reusing hot-kernel variants, bitwise
-identical), and ``numba`` when that package is importable.
+Every execution switch — the grad tape, fused kernels, sparse masks,
+packed decode, compute dtype and array backend — is one field of the
+frozen :class:`ExecutionConfig` in force for the calling thread or
+task: :func:`execution` scopes a change to a block and
+:func:`current_execution` reads it (:mod:`repro.nn.execution`).  All
+kernel array math dispatches through the backend seam
+(:mod:`repro.nn.backend`), whose ``reference`` (default) and
+``workspace`` (buffer-reusing, bitwise identical) backends the config's
+``backend`` field selects.
 """
 
 from .attention import AdditiveAttention, SelfAttention, scaled_dot_product_attention
 from .backend import (
     ArrayBackend,
     available_backends,
-    backend_generation,
     call_kernel,
-    get_backend,
     register_backend,
     register_kernel,
-    set_backend,
-    use_backend,
 )
-from .dtypes import (
-    get_compute_dtype,
-    get_default_dtype,
-    set_compute_dtype,
-    set_default_dtype,
-    use_compute_dtype,
-    use_default_dtype,
-)
+from .execution import ExecutionConfig, current_execution, execution
 from .flatten import FlatLayout, FlatParameterSpace
 from .flops import (
     CostReport,
@@ -68,17 +61,6 @@ from .functional import (
     sparse_masked_log_probs,
     stack,
     where_mask,
-)
-from .fusion import (
-    fused_kernels_enabled,
-    packed_decode_enabled,
-    set_fused_kernels,
-    set_packed_decode,
-    set_sparse_masks,
-    sparse_masks_enabled,
-    use_fused_kernels,
-    use_packed_decode,
-    use_sparse_masks,
 )
 from .layers import MLP, Dropout, Embedding, LayerNorm, Linear, ReLU, Sigmoid, Tanh
 from .loss import cross_entropy, distillation_loss, l1_loss, mse_loss, nll_from_log_probs
@@ -112,16 +94,10 @@ __all__ = [
     # recurrent
     "RNN", "RNNCell", "GRU", "GRUCell", "LSTM", "LSTMCell",
     "fused_rnn_scan", "fused_gru_scan", "fused_lstm_scan",
-    # fusion / sparse-mask switches
-    "fused_kernels_enabled", "set_fused_kernels", "use_fused_kernels",
-    "sparse_masks_enabled", "set_sparse_masks", "use_sparse_masks",
-    "packed_decode_enabled", "set_packed_decode", "use_packed_decode",
-    # precision switches (compute + exchange)
-    "get_compute_dtype", "set_compute_dtype", "use_compute_dtype",
-    "get_default_dtype", "set_default_dtype", "use_default_dtype",
+    # execution context (see repro.nn.execution)
+    "ExecutionConfig", "execution", "current_execution",
     # array backend seam (see repro.nn.backend)
-    "ArrayBackend", "available_backends", "backend_generation",
-    "get_backend", "set_backend", "use_backend",
+    "ArrayBackend", "available_backends",
     "register_backend", "register_kernel", "call_kernel",
     # attention
     "AdditiveAttention", "SelfAttention", "scaled_dot_product_attention",

@@ -1,9 +1,9 @@
-"""Pluggable array backend: the single dispatch seam for kernel math.
+"""Array backend: the single dispatch seam for kernel math.
 
 Every nn kernel module (tensor/functional/recurrent/attention/layers/
 loss/optim/flatten/init), the serving engine and decode programs, and
 the constraint-mask kernels route their array math through the
-module-level :data:`ops` namespace here instead of calling ``np.*``
+module-level :data:`ops` table here instead of calling ``np.*``
 directly (``tools/check_backend.py`` lints the seam).  Array
 *construction* (``np.empty`` / ``np.asarray`` / dtype constants) and
 ndarray *methods* (``x.sum(...)``, ``x @ w``, fancy indexing) stay as
@@ -12,24 +12,22 @@ alternative array engine could plug in.
 
 Two layers:
 
-**The ops table.**  An :class:`ArrayBackend` binds every name in
-:data:`OP_NAMES` to a callable.  The ``reference`` backend binds the
-NumPy functions *directly* (``ops.exp is np.exp``), so dispatch through
-the seam costs one module-attribute load — the same cost as ``np.exp``
-— and the reference backend is bitwise-identical to the pre-seam code
-by construction.  :func:`set_backend` rebinds the :data:`ops`
-attributes in place, so ``from .backend import ops`` imports observe
-switches immediately.
+**The ops table.**  :data:`ops` binds every name in :data:`OP_NAMES`
+to its NumPy function *directly* (``ops.exp is np.exp``), so dispatch
+through the seam costs one attribute load — the same cost as
+``np.exp`` — and is bitwise-identical to calling NumPy.  The table is
+fixed: backends differ only in their hot kernels.
 
 **The hot-kernel registry.**  Multi-step kernels (the fused RNN/GRU/
 LSTM scans, the dense/masked/CSR-sparse log-softmax cores, the packed
 decode step) dispatch through :func:`call_kernel(name, reference, ...)
-<call_kernel>`: the active backend may register an accelerated
-implementation under ``name``; when none is registered — or a
-registered one raises — the call falls back to ``reference`` (a raising
-kernel is disabled for the rest of the process, so a broken accelerated
-path degrades to reference behaviour instead of failing the run).
-Shipped implementations:
+<call_kernel>`, which looks up the backend named by the ``backend``
+field of the current :class:`~repro.nn.execution.ExecutionConfig`.
+That backend may register an accelerated implementation under
+``name``; when none is registered — or a registered one raises — the
+call falls back to ``reference`` (a raising kernel is disabled for the
+rest of the process, so a broken accelerated path degrades to
+reference behaviour instead of failing the run).  Shipped backends:
 
 * ``reference`` — empty registry; every kernel runs its reference code.
 * ``workspace`` — pure-NumPy variants that preallocate and reuse
@@ -38,36 +36,32 @@ Shipped implementations:
   order writing into pooled buffers, so outputs stay **bitwise
   identical** to the reference backend (the tier-1 suite runs fully
   under ``REPRO_BACKEND=workspace`` in CI).
-* ``numba`` — jitted scan loops, registered only when :mod:`numba`
-  imports (never a hard dependency); falls back per kernel otherwise.
 
-Like the fused/sparse/packed/dtype flags, the selection is
-process-global (:func:`set_backend` / :func:`use_backend` /
-``REPRO_BACKEND``), ships on :class:`~repro.federated.runner.RoundTask`,
-and is re-asserted inside pool workers.  :func:`backend_generation`
-increments on every switch so lazily-built caches (dataset collation,
-mask mirrors, decode plans) can key on — or invalidate at — backend
-changes.
+Select a backend per block with ``nn.execution(backend="workspace")``
+(or process-wide with ``REPRO_BACKEND``, read by
+:mod:`repro.nn.execution`); like every execution field the choice is
+scoped to the calling thread or task.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
+import threading
+import types
 
 import numpy as np
 
+from .execution import _CURRENT
+
 __all__ = [
     "ArrayBackend", "Workspace", "ops", "workspace",
-    "get_backend", "set_backend", "use_backend",
-    "available_backends", "backend_generation",
+    "available_backends", "check_backend",
     "register_backend", "register_kernel", "call_kernel",
     "OP_NAMES",
 ]
 
 #: The array operations the substrate actually uses (RNG-free: random
 #: draws stay on ``np.random.Generator`` streams so every backend sees
-#: identical data).  A backend must provide all of them.
+#: identical data).
 OP_NAMES = (
     # matmul / contractions
     "matmul", "dot",
@@ -86,69 +80,49 @@ OP_NAMES = (
     "diag", "qr",
 )
 
-#: NumPy bindings for every op — the reference implementation and the
-#: fallback any backend starts from.
-_NUMPY_OPS = {name: getattr(np, name) for name in OP_NAMES
-              if name not in ("add_at", "add_reduceat", "maximum_reduceat",
-                              "qr")}
-_NUMPY_OPS["add_at"] = np.add.at
-_NUMPY_OPS["add_reduceat"] = np.add.reduceat
-_NUMPY_OPS["maximum_reduceat"] = np.maximum.reduceat
-_NUMPY_OPS["qr"] = np.linalg.qr
+_UFUNC_METHODS = {
+    "add_at": np.add.at,
+    "add_reduceat": np.add.reduceat,
+    "maximum_reduceat": np.maximum.reduceat,
+    "qr": np.linalg.qr,
+}
+
+#: The op table: NumPy bindings for every name in :data:`OP_NAMES`.
+ops = types.SimpleNamespace(**{
+    name: _UFUNC_METHODS.get(name) or getattr(np, name) for name in OP_NAMES})
 
 
 class ArrayBackend:
-    """One array engine: an op table plus a hot-kernel registry.
+    """One array engine: a hot-kernel registry.
 
-    ``op_overrides`` replaces individual :data:`OP_NAMES` bindings
-    (unlisted ops keep their NumPy reference binding); ``kernels`` maps
-    hot-kernel names to accelerated implementations (see
-    :func:`call_kernel`).  ``failed_kernels`` collects kernels disabled
-    after raising — per backend, per process.
+    ``kernels`` maps hot-kernel names to accelerated implementations
+    (filled by :func:`register_kernel`; see :func:`call_kernel`).
+    ``failed_kernels`` collects kernels disabled after raising — per
+    backend, per process.
     """
 
-    __slots__ = ("name", "ops", "kernels", "failed_kernels")
+    __slots__ = ("name", "kernels", "failed_kernels")
 
-    def __init__(self, name: str, op_overrides: dict | None = None,
-                 kernels: dict | None = None):
+    def __init__(self, name: str):
         self.name = name
-        self.ops = dict(_NUMPY_OPS)
-        if op_overrides:
-            unknown = set(op_overrides) - set(OP_NAMES)
-            if unknown:
-                raise ValueError(f"unknown op names {sorted(unknown)}")
-            self.ops.update(op_overrides)
-        self.kernels = dict(kernels or {})
+        self.kernels: dict = {}
         self.failed_kernels: set[str] = set()
 
 
-class _OpsNamespace:
-    """The live op table; attributes rebound in place by backend switches.
-
-    ``__slots__`` keeps attribute access a fixed-offset load and makes
-    binding a non-op name an immediate error.
-    """
-
-    __slots__ = OP_NAMES
-
-
-ops = _OpsNamespace()
-
-
-class Workspace:
-    """Per-process pool of reusable scratch buffers for ``out=`` kernels.
+class Workspace(threading.local):
+    """Per-thread pool of reusable scratch buffers for ``out=`` kernels.
 
     ``take(shape, dtype, tag)`` hands out one buffer per distinct key,
     creating it on first use.  Contract: a kernel may only write pooled
     buffers it will not let escape — not node data, not closure-captured
     saved activations, nothing a caller retains past the call.  Distinct
     simultaneous buffers inside one kernel need distinct ``tag`` values;
-    buffers whose lifetimes never overlap may share a key.  The pool is
-    bounded: it clears wholesale past ``capacity`` distinct keys (cheap,
-    and shapes are few on real workloads).
+    buffers whose lifetimes never overlap may share a key.  Each thread
+    sees its own buffers, so a serving worker and a training thread
+    never write the same scratch.  The pool is bounded: it clears
+    wholesale past ``capacity`` distinct keys (cheap, and shapes are
+    few on real workloads).
     """
-
-    __slots__ = ("_buffers", "capacity")
 
     def __init__(self, capacity: int = 256):
         self._buffers: dict = {}
@@ -168,11 +142,10 @@ class Workspace:
         self._buffers.clear()
 
 
-#: The shared scratch pool workspace-backend kernels draw from.
+#: The scratch pool workspace-backend kernels draw from (one per thread).
 workspace = Workspace()
 
 _BACKENDS: dict[str, ArrayBackend] = {}
-_GENERATION = 0
 
 
 def register_backend(backend: ArrayBackend) -> ArrayBackend:
@@ -181,62 +154,21 @@ def register_backend(backend: ArrayBackend) -> ArrayBackend:
     return backend
 
 
-_REFERENCE = register_backend(ArrayBackend("reference"))
-_WORKSPACE = register_backend(ArrayBackend("workspace"))
-_ACTIVE = _REFERENCE
-
-
-def _install(backend: ArrayBackend) -> None:
-    for name in OP_NAMES:
-        setattr(ops, name, backend.ops[name])
-
-
-_install(_ACTIVE)
+register_backend(ArrayBackend("reference"))
+register_backend(ArrayBackend("workspace"))
 
 
 def available_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted (``numba`` only if it imports)."""
+    """Registered backend names, sorted."""
     return tuple(sorted(_BACKENDS))
 
 
-def get_backend() -> str:
-    """Name of the active backend."""
-    return _ACTIVE.name
-
-
-def backend_generation() -> int:
-    """Monotone counter bumped by every backend switch.
-
-    Lazily-built caches key derived arrays on this (or on
-    :func:`get_backend`) so a mid-process switch cannot serve arrays
-    built by the previous backend.
-    """
-    return _GENERATION
-
-
-def set_backend(name: str) -> str:
-    """Activate backend ``name``; returns the previous backend's name."""
-    global _ACTIVE, _GENERATION
-    backend = _BACKENDS.get(name)
-    if backend is None:
+def check_backend(name: str) -> str:
+    """``name`` if it is a registered backend, else ``ValueError``."""
+    if name not in _BACKENDS:
         raise ValueError(f"unknown backend {name!r}; "
                          f"available: {', '.join(available_backends())}")
-    previous = _ACTIVE.name
-    if backend is not _ACTIVE:
-        _ACTIVE = backend
-        _GENERATION += 1
-        _install(backend)
-    return previous
-
-
-@contextlib.contextmanager
-def use_backend(name: str):
-    """Context manager scoping the backend selection."""
-    previous = set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(previous)
+    return name
 
 
 def register_kernel(backend_name: str, kernel_name: str, fn) -> None:
@@ -246,14 +178,11 @@ def register_kernel(backend_name: str, kernel_name: str, fn) -> None:
     custom backends may register at any point.  Raises ``ValueError``
     for an unregistered backend name.
     """
-    backend = _BACKENDS.get(backend_name)
-    if backend is None:
-        raise ValueError(f"unknown backend {backend_name!r}")
-    backend.kernels[kernel_name] = fn
+    _BACKENDS[check_backend(backend_name)].kernels[kernel_name] = fn
 
 
 def call_kernel(name: str, reference, *args):
-    """Dispatch hot kernel ``name`` through the active backend.
+    """Dispatch hot kernel ``name`` through the current backend.
 
     Runs the backend's registered implementation when one exists and
     has not previously raised; otherwise runs ``reference``.  An
@@ -262,7 +191,7 @@ def call_kernel(name: str, reference, *args):
     the fallback contract that keeps accelerated backends safe to
     enable by default.
     """
-    backend = _ACTIVE
+    backend = _BACKENDS[_CURRENT.get().backend]
     impl = backend.kernels.get(name)
     if impl is None or name in backend.failed_kernels:
         return reference(*args)
@@ -273,21 +202,5 @@ def call_kernel(name: str, reference, *args):
         return reference(*args)
 
 
-def _init_numba_backend() -> None:
-    """Register the numba backend when numba is importable (never a
-    hard dependency; kernels jit lazily on first call and fall back per
-    kernel through :func:`call_kernel` if compilation fails)."""
-    try:
-        import numba  # noqa: F401
-    except Exception:
-        return
-    backend = register_backend(ArrayBackend("numba"))
-    from . import _numba_kernels
-    _numba_kernels.register(backend)
-
-
-_init_numba_backend()
-
-_ENV_BACKEND = os.environ.get("REPRO_BACKEND")
-if _ENV_BACKEND:
-    set_backend(_ENV_BACKEND)
+# A mistyped REPRO_BACKEND fails at import, not at the first kernel call.
+check_backend(_CURRENT.get().backend)

@@ -1,15 +1,19 @@
-"""Two-level precision config: *compute* dtype and *exchange* dtype.
+"""Compute precision: the ``compute_dtype`` field of the execution config.
 
-The substrate distinguishes two precisions:
-
-**Compute dtype** (:func:`set_compute_dtype`, default ``float64``) is
-the dtype of everything the hot loops touch: :class:`~repro.nn.tensor.Tensor`
+The compute dtype (``float64`` by default, or ``float32``) is the dtype
+of everything the hot loops touch: :class:`~repro.nn.tensor.Tensor`
 data (parameters, activations, gradients), the fused RNN/GRU/LSTM scan
 buffers, constraint-mask arrays, and the packed decode engine's state.
-Setting it to ``float32`` halves the memory traffic of every kernel the
-perf PRs made compute-bound.  Numerically sensitive *accumulations*
-stay float64 regardless — the log-softmax normalisers (dense, masked,
-and CSR-sparse), loss reductions (:meth:`Tensor.sum` accumulates in
+Select it per block with :func:`repro.nn.execution`::
+
+    with nn.execution(compute_dtype="float32"):
+        model = build_model()
+        trainer.train_epoch(dataset)
+
+``float32`` halves the memory traffic of every kernel the perf work
+made compute-bound.  Numerically sensitive *accumulations* stay
+float64 regardless — the log-softmax normalisers (dense, masked, and
+CSR-sparse), loss reductions (:meth:`Tensor.sum` accumulates in
 float64), and the bias-gradient reductions of the fused BPTT scans —
 so float32 runs round once per reduction instead of drifting term by
 term.  Optimisers are mixed-precision by contract: moments and the
@@ -17,113 +21,37 @@ flat update arithmetic are always float64 ("master" precision), and
 the update is cast to the compute dtype only when scattered back into
 the parameters (see :mod:`repro.nn.optim`).
 
-**Exchange dtype** (:func:`set_default_dtype`, default ``float64``) is
-the dtype of federated wire payloads: what
-:meth:`~repro.nn.flatten.FlatParameterSpace.get_flat` and
-:meth:`~repro.nn.flatten.FlatLayout.flatten_state` allocate when the
-caller does not supply an output buffer.  ``float32`` halves the bytes
-of every broadcast/upload while server-side aggregation still runs in
-float64 (optimisers pass their own float64 buffers via ``out=``).
+Federated wire payloads do not follow the compute dtype: flat
+parameter vectors (:meth:`~repro.nn.flatten.FlatParameterSpace.get_flat`,
+:meth:`~repro.nn.flatten.FlatLayout.flatten_state`) default to float64,
+server-side aggregation runs in float64, and the ``float32`` exchange
+codec (:mod:`repro.federated.communication`) is how a run ships
+reduced-precision payloads.
 
-The two knobs are independent: a float64-compute run can ship float32
-payloads (PR 2's original knob), and a float32-compute run still
-aggregates uploads in float64.  With both at ``float64`` every code
-path is bitwise identical to the pre-mixed-precision tree — float64 is
-the reference substrate.
-
-Both flags are process-global.  Parallel round runners re-assert them
-inside every worker task (see :mod:`repro.federated.runner`), so serial
-and process-pool federated runs see identical kernel precision and
-wire precision.  Set the compute dtype *before* building models:
-parameters adopt the dtype active at construction time.
+With ``float64`` every code path is the reference substrate.  Build
+models under the dtype they will run at: parameters adopt the dtype in
+force at construction time.
 """
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
-__all__ = [
-    "get_compute_dtype", "set_compute_dtype", "use_compute_dtype",
-    "get_default_dtype", "set_default_dtype", "use_default_dtype",
-]
+__all__ = ["COMPUTE_DTYPES", "resolve_compute_dtype"]
 
-#: Dtypes either level supports.  Everything else would silently corrupt
+#: The supported compute dtypes.  Everything else would silently corrupt
 #: integer state or lose more precision than the tolerance audit (or
-#: federated averaging) can absorb, so the setters validate against it.
-_ALLOWED = (np.dtype(np.float32), np.dtype(np.float64))
-
-#: Read directly (as ``dtypes._COMPUTE_DTYPE``) by Tensor construction,
-#: which is too hot for a function call per node.
-_COMPUTE_DTYPE = np.dtype(np.float64)
-
-_EXCHANGE_DTYPE = np.dtype(np.float64)
+#: federated averaging) can absorb.
+COMPUTE_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
-def _validated(dtype, level: str) -> np.dtype:
+def resolve_compute_dtype(dtype) -> np.dtype:
+    """``dtype`` as a :class:`numpy.dtype`; ``ValueError`` unless it is
+    one of :data:`COMPUTE_DTYPES`."""
     resolved = np.dtype(dtype)
-    if resolved not in _ALLOWED:
+    if resolved not in COMPUTE_DTYPES:
         raise ValueError(
-            f"unsupported {level} dtype {dtype!r}; expected one of "
-            f"{tuple(d.name for d in _ALLOWED)}"
+            f"unsupported compute dtype {dtype!r}; expected one of "
+            f"{tuple(d.name for d in COMPUTE_DTYPES)}"
         )
     return resolved
-
-
-# ----------------------------------------------------------------------
-# compute dtype (tensor / kernel / optimizer-scatter precision)
-# ----------------------------------------------------------------------
-def get_compute_dtype() -> np.dtype:
-    """The dtype tensors, kernels, and decode state currently use."""
-    return _COMPUTE_DTYPE
-
-
-def set_compute_dtype(dtype) -> np.dtype:
-    """Set the compute dtype (``"float32"``/``"float64"``); returns the
-    previous value so callers can restore it.
-
-    Affects tensors and masks built *after* the call; set it before
-    constructing models (existing parameters keep their dtype).
-    """
-    global _COMPUTE_DTYPE
-    previous = _COMPUTE_DTYPE
-    _COMPUTE_DTYPE = _validated(dtype, "compute")
-    return previous
-
-
-@contextlib.contextmanager
-def use_compute_dtype(dtype):
-    """Context manager scoping the compute dtype (like ``no_grad``)."""
-    previous = set_compute_dtype(dtype)
-    try:
-        yield
-    finally:
-        set_compute_dtype(previous)
-
-
-# ----------------------------------------------------------------------
-# exchange dtype (federated wire precision)
-# ----------------------------------------------------------------------
-def get_default_dtype() -> np.dtype:
-    """The current exchange dtype for flat parameter vectors."""
-    return _EXCHANGE_DTYPE
-
-
-def set_default_dtype(dtype) -> np.dtype:
-    """Set the exchange dtype (``"float32"``/``"float64"``); returns the
-    previous value so callers can restore it."""
-    global _EXCHANGE_DTYPE
-    previous = _EXCHANGE_DTYPE
-    _EXCHANGE_DTYPE = _validated(dtype, "exchange")
-    return previous
-
-
-@contextlib.contextmanager
-def use_default_dtype(dtype):
-    """Context manager scoping the exchange dtype (like ``no_grad``)."""
-    previous = set_default_dtype(dtype)
-    try:
-        yield
-    finally:
-        set_default_dtype(previous)

@@ -14,7 +14,7 @@ from .backend import ops
 from .functional import addmm
 from .functional import dropout as dropout_fn
 from .functional import embedding_lookup
-from .fusion import fused_kernels_enabled
+from .execution import _CURRENT
 from .module import Module, Parameter
 from .tensor import Tensor
 
@@ -54,7 +54,7 @@ class Linear(Module):
         self.bias = Parameter(initializers.zeros_init((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        if fused_kernels_enabled():
+        if _CURRENT.get().fused_kernels:
             return addmm(x, self.weight, self.bias)
         # Reference path: matmul + add as separate tape nodes.
         out = x @ self.weight

@@ -11,14 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from .functional import gather_rows, log_softmax
-from .fusion import fused_kernels_enabled
+from .execution import _CURRENT
 from .tensor import Tensor, as_tensor
 
 
 def _pick(log_probs: Tensor, targets: np.ndarray) -> Tensor:
     """One log-probability per row, via the fused pick or the reference
     fancy-index node (kept for faithful per-step-path timing)."""
-    if fused_kernels_enabled():
+    if _CURRENT.get().fused_kernels:
         return gather_rows(log_probs, targets)
     return log_probs[np.arange(log_probs.shape[0]), targets]
 

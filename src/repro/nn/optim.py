@@ -15,7 +15,7 @@ fall back to the per-parameter reference loop to preserve the exact
 
 Master-weight contract (mixed precision)
 ----------------------------------------
-At ``float32`` compute (:func:`repro.nn.set_compute_dtype`) the
+At ``float32`` compute (``nn.execution(compute_dtype="float32")``) the
 parameters and gradients live in float32, but the optimiser state never
 does: the gather buffers and the moment vectors are **always float64**,
 gradients upcast into them at gather time, the whole update rule runs

@@ -11,7 +11,7 @@ Two execution paths exist for the sequence wrappers:
   a hand-written BPTT — input/weight gradients collapse into a few
   large matmuls over the ``(B*T, ·)`` flattened sequence;
 * the **per-step path**: one cell call (and hence ~10 tape nodes) per
-  timestep.  Kept behind :func:`repro.nn.fusion.use_fused_kernels` for
+  timestep.  Kept behind ``nn.execution(fused_kernels=False)`` for
   equivalence testing.
 """
 
@@ -22,7 +22,7 @@ import numpy as np
 from . import init as initializers
 from .backend import call_kernel, ops, register_kernel, workspace
 from .functional import concat, stack
-from .fusion import fused_kernels_enabled
+from .execution import _CURRENT
 from .module import Module, Parameter
 from .tensor import (
     Tensor,
@@ -683,7 +683,7 @@ class _SequenceRNN(Module):
         """
         if x.ndim != 3:
             raise ValueError(f"expected (B, T, D) input, got shape {x.shape}")
-        if fused_kernels_enabled():
+        if _CURRENT.get().fused_kernels:
             batch = x.shape[0]
             h0 = h0 if h0 is not None else self.cell.initial_state(batch)
             outputs = self.cell.scan(x, h0, mask=mask)

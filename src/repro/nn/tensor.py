@@ -23,13 +23,12 @@ including property-based checks with hypothesis.
 
 from __future__ import annotations
 
-import contextlib
 from typing import Callable
 
 import numpy as np
 
-from . import dtypes as _dtypes
 from .backend import ops
+from .execution import _CURRENT, execution
 
 __all__ = [
     "Tensor",
@@ -44,24 +43,16 @@ __all__ = [
     "tanh_backward",
 ]
 
-_GRAD_ENABLED = True
 
-
-@contextlib.contextmanager
 def no_grad():
-    """Context manager that disables tape recording (like ``torch.no_grad``)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = previous
+    """Context manager that disables tape recording (like ``torch.no_grad``)
+    for the calling thread or task (``nn.execution(grad=False)``)."""
+    return execution(grad=False)
 
 
 def is_grad_enabled() -> bool:
     """Return whether operations are currently being recorded on the tape."""
-    return _GRAD_ENABLED
+    return _CURRENT.get().grad
 
 
 def sigmoid_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -121,8 +112,8 @@ class Tensor:
     ----------
     data:
         Anything convertible to ``numpy.ndarray``; stored in the active
-        *compute dtype* (:func:`repro.nn.set_compute_dtype` — float64
-        by default), which every op output also adopts.
+        *compute dtype* (``nn.current_execution().compute_dtype`` —
+        float64 by default), which every op output also adopts.
     requires_grad:
         If true, gradients are accumulated into :attr:`grad` during
         :meth:`backward`.
@@ -135,8 +126,9 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=_dtypes._COMPUTE_DTYPE)
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        config = _CURRENT.get()
+        self.data = np.asarray(data, dtype=config.compute_dtype)
+        self.requires_grad = bool(requires_grad) and config.grad
         self.grad: np.ndarray | None = None
         self._backward: Callable | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -485,7 +477,7 @@ class Tensor:
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     """Construct a tape node; records parents only when grads are enabled."""
-    requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    requires = _CURRENT.get().grad and any(p.requires_grad for p in parents)
     out = Tensor(data)
     out.requires_grad = requires
     if requires:

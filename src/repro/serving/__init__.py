@@ -30,7 +30,6 @@ from .scheduler import (
     DeadlineExceededError,
     RequestError,
     ServedResult,
-    ServingFlags,
 )
 from .service import DecodeService, QueueFullError, ServiceClosedError
 
@@ -39,7 +38,7 @@ __all__ = [
     "DecodeSession", "EmissionPolicy", "GreedyEmission", "PackedDecodeResult",
     "LiveDecodeSet", "LiveDecodeResult", "MuxError",
     "STDecodeProgram", "StackedRNNDecodeProgram", "AttnDecodeProgram",
-    "ContinuousBatcher", "ServingFlags", "ServedResult",
+    "ContinuousBatcher", "ServedResult",
     "RequestError", "DeadlineExceededError",
     "DecodeService", "QueueFullError", "ServiceClosedError",
 ]

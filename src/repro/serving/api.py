@@ -6,8 +6,8 @@ recovery: :meth:`TrajectoryRecovery.predict_batch`,
 loop's accuracy gates (:func:`~repro.core.training.model_segment_accuracy`)
 all route through it instead of calling ``model(batch, log_mask,
 teacher_forcing=False)`` directly.  When packed decode is enabled
-(:func:`repro.nn.use_packed_decode`, default on) and the model builds a
-decode program, inference runs through the
+(``nn.current_execution().packed_decode``, default on) and the model
+builds a decode program, inference runs through the
 :class:`~repro.serving.engine.DecodeSession` engine with each row
 decoded only to its true length; otherwise it falls back to the model's
 own padded full-length decode, so models without a program (e.g. the
@@ -60,9 +60,9 @@ def decode_model(model, batch, log_mask, *, decode_batch: int | None = None,
     """
     from ..core.base import ModelOutput  # core imports serving at load time
 
-    with nn.no_grad():
+    with nn.no_grad() as config:
         program = (model.decode_program(batch, log_mask)
-                   if nn.packed_decode_enabled() else None)
+                   if config.packed_decode else None)
         if program is None:
             return model(batch, log_mask, teacher_forcing=False)
         session = DecodeSession(policy=policy, decode_batch=decode_batch)
@@ -75,10 +75,8 @@ def decode_model(model, batch, log_mask, *, decode_batch: int | None = None,
 def fastapi_available() -> bool:
     """True when :mod:`fastapi` is importable.
 
-    The HTTP front-end is gated exactly like the numba array backend
-    (see :func:`repro.nn.backend._init_numba_backend`): FastAPI is an
-    optional accelerator of the same tier, never a hard dependency —
-    tier-1 runs hermetically with it absent, and the in-process
+    FastAPI is optional, never a hard dependency — tier-1 runs
+    hermetically with it absent, and the in-process
     :class:`~repro.serving.DecodeService` carries the full contract.
     """
     try:

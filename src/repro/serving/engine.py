@@ -95,7 +95,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn.backend import ops
-from ..nn.dtypes import get_compute_dtype
+from ..nn.execution import current_execution
 
 __all__ = ["EmissionPolicy", "GreedyEmission", "PackedDecodeResult",
            "DecodeSession", "LiveDecodeSet", "LiveDecodeResult", "MuxError"]
@@ -220,7 +220,7 @@ class DecodeSession:
                     f"lengths shape {lengths.shape} does not match {b} rows")
             if lengths.max(initial=0) > t:
                 raise ValueError("a length exceeds the program's num_steps")
-        dtype = get_compute_dtype()
+        dtype = current_execution().compute_dtype
         log_probs = np.zeros((b, t, program.num_classes), dtype=dtype)
         ratios = np.zeros((b, t), dtype=dtype)
         segments = np.zeros((b, t), dtype=np.int64)
@@ -462,7 +462,7 @@ class LiveDecodeSet:
                 f"{self.max_batch} (live rows: {self.rows})")
         handle = self._next_handle
         self._next_handle += 1
-        dtype = get_compute_dtype()
+        dtype = current_execution().compute_dtype
         log_probs = np.zeros((b, t, program.num_classes), dtype=dtype)
         ratios = np.zeros((b, t), dtype=dtype)
         segments = np.zeros((b, t), dtype=np.int64)

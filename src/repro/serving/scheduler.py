@@ -16,7 +16,7 @@ Correctness contract
 --------------------
 Every admitted request decodes **bit-identically** to a solo
 :func:`~repro.serving.decode_model` call on the same request batch
-under the same flags — proven by the property suite in
+under the same execution config — proven by the property suite in
 ``tests/serving/test_continuous_batching.py``, not asserted.  The
 engine's live set provides the kernel-level half of the contract (see
 ``repro/serving/engine.py``); the scheduler contributes the policy
@@ -25,19 +25,19 @@ half:
 * **FIFO, head-of-line blocking admission.**  Requests are admitted in
   submission order, and a head request that does not currently fit —
   not enough free rows, a mux-incompatible program (e.g. a different
-  attention encoder width), or different serving flags — *blocks* the
+  attention encoder width), or a different execution config — *blocks* the
   queue rather than being overtaken.  Nothing can starve: the live set
   drains monotonically, an empty set accepts any program, and an empty
   queue-head admission unblocks everything behind it.
-* **Per-request flag capture.**  Each request snapshots the process
-  flags (:class:`ServingFlags`: backend, compute/exchange dtype,
-  fused kernels, sparse masks, packed decode) at ``submit`` time, the
-  request's program is built under those flags, and every step of a
-  working set runs under the flags its residents were admitted with —
-  the :class:`~repro.federated.runner.RoundTask` re-assertion idiom
-  applied to serving.  Requests with different flags never share a
-  working set.
-* **Solo fallback.**  A model/flag combination with no decode program
+* **Per-request config capture.**  Each request carries the
+  submitter's :class:`~repro.nn.execution.ExecutionConfig` (backend,
+  compute dtype, fused kernels, sparse masks, packed decode; grad off)
+  captured at ``submit`` time, the request's program is built under
+  it, and every step of a working set runs under the config its
+  residents were admitted with — the
+  :class:`~repro.federated.runner.RoundTask` idiom applied to serving.
+  Requests with different configs never share a working set.
+* **Solo fallback.**  A model/config combination with no decode program
   (e.g. LTE with fused kernels disabled, or the non-autoregressive FC
   baseline) cannot be muxed; such requests run as one-off solo
   :func:`~repro.serving.decode_model` calls at their admission turn,
@@ -53,72 +53,21 @@ the work is already in flight).
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import nn
+from ..nn.execution import ExecutionConfig
 from ..nn.flops import estimate_decode_flops
 from .api import batch_lengths, decode_model
 from .engine import DecodeSession, EmissionPolicy, MuxError
 
-__all__ = ["ServingFlags", "ServedResult", "RequestError",
+__all__ = ["ServedResult", "RequestError",
            "DeadlineExceededError", "ContinuousBatcher"]
-
-
-@dataclass(frozen=True)
-class ServingFlags:
-    """One request's snapshot of the process-global execution flags.
-
-    The serving twin of the :class:`~repro.federated.runner.RoundTask`
-    flag fields: captured where the request originates, re-asserted
-    around every kernel call made on its behalf, and restored after —
-    so a long-lived service honours each caller's backend/dtype/fusion
-    configuration even when callers differ.
-    """
-
-    fused_kernels: bool = True
-    sparse_masks: bool = True
-    packed_decode: bool = True
-    exchange_dtype: str = "float64"
-    compute_dtype: str = "float64"
-    backend: str = "reference"
-
-    @classmethod
-    def capture(cls) -> "ServingFlags":
-        """Snapshot the caller's ambient flags."""
-        return cls(
-            fused_kernels=nn.fused_kernels_enabled(),
-            sparse_masks=nn.sparse_masks_enabled(),
-            packed_decode=nn.packed_decode_enabled(),
-            exchange_dtype=np.dtype(nn.get_default_dtype()).name,
-            compute_dtype=np.dtype(nn.get_compute_dtype()).name,
-            backend=nn.get_backend(),
-        )
-
-    @contextmanager
-    def applied(self):
-        """Assert these flags for a block, restoring the previous ones."""
-        previous = (
-            nn.set_fused_kernels(self.fused_kernels),
-            nn.set_sparse_masks(self.sparse_masks),
-            nn.set_packed_decode(self.packed_decode),
-            nn.set_default_dtype(self.exchange_dtype),
-            nn.set_compute_dtype(self.compute_dtype),
-            nn.set_backend(self.backend),
-        )
-        try:
-            yield
-        finally:
-            nn.set_fused_kernels(previous[0])
-            nn.set_sparse_masks(previous[1])
-            nn.set_packed_decode(previous[2])
-            nn.set_default_dtype(previous[3])
-            nn.set_compute_dtype(previous[4])
-            nn.set_backend(previous[5])
 
 
 class RequestError(RuntimeError):
@@ -146,15 +95,15 @@ class ServedResult:
 
 class _Request:
     __slots__ = ("handle", "batch", "log_mask", "lengths", "deadline",
-                 "flags", "program", "program_built")
+                 "execution", "program", "program_built")
 
-    def __init__(self, handle, batch, log_mask, lengths, deadline, flags):
+    def __init__(self, handle, batch, log_mask, lengths, deadline, execution):
         self.handle = handle
         self.batch = batch
         self.log_mask = log_mask
         self.lengths = lengths
         self.deadline = deadline
-        self.flags = flags
+        self.execution = execution
         self.program = None
         self.program_built = False
 
@@ -189,7 +138,7 @@ class ContinuousBatcher:
         self.max_batch = max_batch
         self._clock = clock
         self._live = DecodeSession(policy=policy).open(max_batch=max_batch)
-        self._live_flags: ServingFlags | None = None
+        self._live_execution: ExecutionConfig | None = None
         self._queue: deque[_Request] = deque()
         self._by_live_handle: dict[int, _Request] = {}
         self._next_handle = 0
@@ -216,13 +165,15 @@ class ContinuousBatcher:
     # -- submission -----------------------------------------------------
     def submit(self, batch, log_mask, *, lengths: np.ndarray | None = None,
                deadline: float | None = None,
-               flags: ServingFlags | None = None) -> int:
+               execution: ExecutionConfig | None = None) -> int:
         """Queue one request batch; returns its handle.
 
         ``lengths`` defaults to the batch's ``tgt_mask`` row sums;
         ``deadline`` is an absolute :attr:`clock` value by which the
-        request must have been *admitted*; ``flags`` default to a
-        snapshot of the caller's ambient flags.
+        request must have been *admitted*; ``execution`` defaults to
+        the calling thread's config.  Decode never records on the tape,
+        so the request carries it with ``grad`` off — callers that differ
+        only in their tape state share a working set.
         """
         rows = int(batch.size)
         if rows > self.max_batch:
@@ -233,12 +184,13 @@ class ContinuousBatcher:
             lengths = batch_lengths(batch)
         else:
             lengths = np.asarray(lengths, dtype=np.int64)
-        if flags is None:
-            flags = ServingFlags.capture()
+        execution = dataclasses.replace(
+            nn.current_execution() if execution is None else execution,
+            grad=False)
         handle = self._next_handle
         self._next_handle += 1
         self._queue.append(
-            _Request(handle, batch, log_mask, lengths, deadline, flags))
+            _Request(handle, batch, log_mask, lengths, deadline, execution))
         return handle
 
     # -- the serving loop -----------------------------------------------
@@ -253,14 +205,14 @@ class ContinuousBatcher:
         self._expire_queued(outcomes)
         self._admit(outcomes)
         if not self._live.empty:
-            with self._live_flags.applied(), nn.no_grad():
+            with nn.execution(self._live_execution):
                 finished = self._live.step()
             for live_result in finished:
                 request = self._by_live_handle.pop(live_result.handle)
                 outcomes.append((request.handle,
                                  self._to_served(request, live_result)))
             if self._live.empty:
-                self._live_flags = None
+                self._live_execution = None
         return outcomes
 
     def drain(self) -> list[tuple[int, ServedResult | RequestError]]:
@@ -295,16 +247,17 @@ class ContinuousBatcher:
         """Admit queued requests in FIFO order until the head blocks."""
         while self._queue:
             head = self._queue[0]
-            if self._live_flags is not None and head.flags != self._live_flags:
-                return  # wait for the set to drain, then re-key the flags
+            if (self._live_execution is not None
+                    and head.execution != self._live_execution):
+                return  # wait for the set to drain, then re-key the config
             if not head.program_built:
-                with head.flags.applied(), nn.no_grad():
+                with nn.execution(head.execution):
                     head.program = (
                         self.model.decode_program(head.batch, head.log_mask)
-                        if head.flags.packed_decode else None)
+                        if head.execution.packed_decode else None)
                 head.program_built = True
             if head.program is None:
-                # No decode program under these flags: serve solo at the
+                # No decode program under this config: serve solo at the
                 # request's admission turn, preserving FIFO order.
                 self._queue.popleft()
                 self.admission_log.append(head.handle)
@@ -320,15 +273,15 @@ class ContinuousBatcher:
             self._queue.popleft()
             self.admission_log.append(head.handle)
             self._by_live_handle[live_handle] = head
-            if self._live_flags is None:
-                self._live_flags = head.flags
+            if self._live_execution is None:
+                self._live_execution = head.execution
 
     def _free_rows(self) -> int:
         free = self._live.free_rows
         return self.max_batch if free is None else free
 
     def _solo(self, request: _Request) -> ServedResult:
-        with request.flags.applied():
+        with nn.execution(request.execution):
             output = decode_model(self.model, request.batch, request.log_mask)
         steps = int(request.batch.steps)
         return ServedResult(

@@ -8,10 +8,12 @@ loop on its own:
 
 * :meth:`DecodeService.submit` enqueues a request from any thread and
   returns a handle; :meth:`DecodeService.result` blocks until that
-  request finishes (or re-raises its rejection).  Execution flags are
-  captured in the *caller's* thread (:class:`ServingFlags.capture`), so
-  each request runs under the configuration of whoever submitted it,
-  not whatever the worker happens to have ambient.
+  request finishes (or re-raises its rejection).  The execution config
+  is captured in the *caller's* thread at ``submit``
+  (:func:`repro.nn.current_execution`), so each request runs under the
+  configuration of whoever submitted it.  The worker thread enters that
+  config per step in its own thread context, so serving never changes
+  the grad flag, dtype or backend of any other thread.
 * **Backpressure**: submissions beyond ``max_queue`` pending requests
   raise :class:`QueueFullError` immediately — callers shed load at the
   door instead of growing an unbounded queue.  Per-request ``timeout``
@@ -38,7 +40,8 @@ import threading
 import time
 from concurrent.futures import Future
 
-from .scheduler import ContinuousBatcher, RequestError, ServingFlags
+from .. import nn
+from .scheduler import ContinuousBatcher, RequestError
 
 __all__ = ["DecodeService", "QueueFullError", "ServiceClosedError"]
 
@@ -55,10 +58,9 @@ class DecodeService:
     """Threaded serving loop around one :class:`ContinuousBatcher`.
 
     Parameters mirror the batcher (``model``, ``max_batch``,
-    ``policy``, ``clock``) plus the service knobs: ``max_queue`` bounds
-    pending (submitted but unfinished) requests — the backpressure
-    limit — and ``start`` can defer worker startup for tests that want
-    to drive :meth:`ContinuousBatcher.step` manually.
+    ``policy``, ``clock``) plus ``max_queue``, which bounds pending
+    (submitted but unfinished) requests — the backpressure limit.  The
+    worker thread starts at construction.
     """
 
     def __init__(self, model, *, max_batch: int = 8, max_queue: int = 64,
@@ -88,7 +90,7 @@ class DecodeService:
         requests are already pending and :class:`ServiceClosedError`
         after :meth:`shutdown`.
         """
-        flags = ServingFlags.capture()  # the caller's configuration
+        execution = nn.current_execution()  # the caller's configuration
         deadline = None if timeout is None else self._clock() + timeout
         with self._cond:
             if self._closed:
@@ -98,7 +100,8 @@ class DecodeService:
                     f"{len(self._futures)} requests pending "
                     f"(max_queue={self.max_queue})")
             handle = self._batcher.submit(batch, log_mask, lengths=lengths,
-                                          deadline=deadline, flags=flags)
+                                          deadline=deadline,
+                                          execution=execution)
             self._futures[handle] = Future()
             self._stats["submitted"] += 1
             self._cond.notify_all()
@@ -106,17 +109,31 @@ class DecodeService:
 
     def result(self, handle: int, timeout: float | None = None):
         """Block until request ``handle`` finishes; return its
-        :class:`~repro.serving.ServedResult` or re-raise its rejection."""
+        :class:`~repro.serving.ServedResult` or re-raise its rejection.
+
+        A ``TimeoutError`` leaves the handle collectable: the request
+        may still finish, and a later call returns its outcome.  The
+        handle is forgotten only once its outcome has been handed out.
+        """
         with self._cond:
             future = self._futures.get(handle)
         if future is None:
             raise KeyError(f"unknown or already-collected handle {handle}")
         try:
-            return future.result(timeout=timeout)
-        finally:
-            with self._cond:
-                if future.done():
-                    self._futures.pop(handle, None)
+            outcome = future.result(timeout=timeout)
+        except BaseException as error:
+            # Only the request's own rejection is an outcome; a wait
+            # that timed out (even one the request beat by a hair)
+            # must not drop the result.
+            if future.done() and future.exception() is error:
+                self._forget(handle)
+            raise
+        self._forget(handle)
+        return outcome
+
+    def _forget(self, handle: int) -> None:
+        with self._cond:
+            self._futures.pop(handle, None)
 
     def drain(self, timeout: float | None = None) -> bool:
         """Block until every submitted request has an outcome.

@@ -3,12 +3,13 @@
 Compute-dtype forcing
 ---------------------
 Setting ``REPRO_COMPUTE_DTYPE=float32`` (the CI mixed-precision leg)
-runs the whole suite on the float32 compute substrate
-(:func:`repro.nn.set_compute_dtype`).  Tests that assert float64-grade
-contracts — finite-difference gradient checks, 1e-10 fused-vs-stepwise
-equivalences, cross-representation value comparisons tighter than
-float32 resolution — carry the ``float64_only`` marker and are skipped
-under forcing; everything else (shapes, argmax/bitwise same-dtype
+runs the whole suite on the float32 compute substrate: the variable
+sets the default :class:`repro.nn.ExecutionConfig` every thread starts
+from (:mod:`repro.nn.execution` reads it at import).  Tests that assert
+float64-grade contracts — finite-difference gradient checks, 1e-10
+fused-vs-stepwise equivalences, cross-representation value comparisons
+tighter than float32 resolution — carry the ``float64_only`` marker and
+are skipped under forcing; everything else (shapes, argmax/bitwise same-dtype
 determinism, serial-vs-parallel identity, behavioural contracts) must
 pass at both precisions.  The ``float_tol`` fixture gives
 dtype-appropriate tolerances to tests that run at either precision.
@@ -16,9 +17,9 @@ dtype-appropriate tolerances to tests that run at either precision.
 Backend forcing
 ---------------
 Setting ``REPRO_BACKEND=workspace`` (the CI backend leg) runs the whole
-suite through the workspace array backend
-(:func:`repro.nn.set_backend`), which is bitwise-identical to the
-reference backend — no test needs a skip marker for it.
+suite through the workspace array backend (the default config's
+``backend`` field, read the same way), which is bitwise-identical to
+the reference backend — no test needs a skip marker for it.
 
 Fault-plan forcing
 ------------------
@@ -73,18 +74,6 @@ from repro.core import ConstraintMaskBuilder, RecoveryModelConfig
 from repro.data import TrajectoryDataset, geolife_like
 from repro.spatial import grid_city
 
-_FORCED_DTYPE = os.environ.get("REPRO_COMPUTE_DTYPE")
-if _FORCED_DTYPE:
-    nn.set_compute_dtype(_FORCED_DTYPE)
-
-# Backend forcing (the CI workspace-backend leg): REPRO_BACKEND is
-# honoured by repro.nn.backend itself at import, but re-asserting here
-# keeps the forcing explicit and fails fast on an unknown name.
-_FORCED_BACKEND = os.environ.get("REPRO_BACKEND")
-if _FORCED_BACKEND:
-    nn.set_backend(_FORCED_BACKEND)
-
-
 _FORCED_FAULT_PLAN = os.environ.get("REPRO_FAULT_PLAN")
 
 # Exchange-codec forcing (the CI int8-exchange leg): validate the name
@@ -129,11 +118,12 @@ def pytest_collection_modifyitems(config, items):
             for item in items:
                 if "eager_clients" in item.keywords:
                     item.add_marker(skip_live)
-    if np.dtype(_FORCED_DTYPE or "float64") == np.dtype(np.float64):
+    forced_dtype = nn.current_execution().compute_dtype
+    if forced_dtype == np.dtype(np.float64):
         return
     skip = pytest.mark.skip(
         reason=f"float64-only contract (compute dtype forced to "
-               f"{_FORCED_DTYPE}; see docs/PERFORMANCE.md)")
+               f"{forced_dtype}; see docs/PERFORMANCE.md)")
     for item in items:
         if "float64_only" in item.keywords:
             item.add_marker(skip)
@@ -142,7 +132,7 @@ def pytest_collection_modifyitems(config, items):
 @pytest.fixture(scope="session")
 def compute_dtype():
     """The active compute dtype (honours REPRO_COMPUTE_DTYPE forcing)."""
-    return nn.get_compute_dtype()
+    return nn.current_execution().compute_dtype
 
 
 @pytest.fixture(scope="session")

@@ -33,13 +33,13 @@ def fusion_tols():
     grads ≤ 3e-8 — the audited bounds below carry ~25x margin.  Argmax
     segments stay bit-equal at both precisions (margins dwarf rounding).
     """
-    if nn.get_compute_dtype() == np.dtype(np.float64):
+    if nn.current_execution().compute_dtype == np.dtype(np.float64):
         return {"values": 1e-10, "loss": 1e-10, "grads": 1e-8}
     return {"values": 1e-4, "loss": 1e-5, "grads": 1e-6}
 
 
 def _teacher_forced(model, batch, log_mask, fused):
-    with nn.use_fused_kernels(fused):
+    with nn.execution(fused_kernels=fused):
         model.zero_grad()
         output = model(batch, log_mask, teacher_forcing=True)
         loss, parts = model.loss(output, batch)
@@ -90,7 +90,7 @@ class TestInferenceEquivalence:
         model, batch, log_mask = setup
         results = {}
         for fused in (True, False):
-            with nn.use_fused_kernels(fused), nn.no_grad():
+            with nn.execution(fused_kernels=fused), nn.no_grad():
                 output = model(batch, log_mask, teacher_forcing=False)
             results[fused] = output
         np.testing.assert_allclose(results[True].log_probs.data,

@@ -48,7 +48,8 @@ def _sparse_dense_tol() -> float:
     1e-9 at float64 (the sparse normaliser drops sub-``exp(floor)``
     terms); 1e-4 at float32 (measured ≤ ~4e-6 through the full model —
     per-term exp/sum ULP on top of the float64 story)."""
-    return 1e-9 if nn.get_compute_dtype() == np.dtype(np.float64) else 1e-4
+    f64 = nn.current_execution().compute_dtype == np.dtype(np.float64)
+    return 1e-9 if f64 else 1e-4
 
 
 class TestSparseBuild:
@@ -93,13 +94,13 @@ class TestSparseBuild:
         batch = tiny_dataset.full_batch()
         lte = LTEModel(tiny_config, fresh_rng)
         fc = FCRecoveryModel(tiny_config, np.random.default_rng(1))
-        with nn.use_sparse_masks(True):
+        with nn.execution(sparse_masks=True):
             assert isinstance(tiny_mask.build_for(batch, lte),
                               SparseConstraintMask)
             assert isinstance(tiny_mask.build_for(batch), SparseConstraintMask)
             # A model that never opted in keeps getting dense masks.
             assert isinstance(tiny_mask.build_for(batch, fc), np.ndarray)
-        with nn.use_sparse_masks(False):
+        with nn.execution(sparse_masks=False):
             assert isinstance(tiny_mask.build_for(batch, lte), np.ndarray)
 
     def test_non_supporting_model_rejects_sparse(self, tiny_dataset, tiny_mask,
@@ -134,7 +135,7 @@ class TestSparseSoftmaxEquivalence:
         # then both run the identical core and must match to ~bitwise.
         x = fresh_rng.standard_normal(
             (batch.size, batch.steps, tiny_dataset.num_segments)
-        ).astype(nn.get_compute_dtype())
+        ).astype(nn.current_execution().compute_dtype)
         expected = nn.masked_log_softmax(nn.Tensor(x), sparse).data
         np.testing.assert_allclose(nn.sparse_masked_log_probs(x, sparse),
                                    expected, atol=1e-12)
@@ -168,17 +169,16 @@ class TestSparseSoftmaxEquivalence:
             assert abs(fd - xt.grad[idx]) < 1e-4, (idx, fd, xt.grad[idx])
 
     @pytest.mark.parametrize("fused", [True, False])
-    @pytest.mark.parametrize("exchange_dtype", ["float64", "float32"])
     def test_model_forward_equivalence(self, tiny_dataset, tiny_mask,
-                                       tiny_config, fused, exchange_dtype):
-        """Sparse vs dense masks agree through the whole model on every
-        (fused, exchange-dtype) combination, teacher-forced and
-        autoregressive alike."""
+                                       tiny_config, fused):
+        """Sparse vs dense masks agree through the whole model with
+        fused kernels on and off, teacher-forced and autoregressive
+        alike."""
         batch = tiny_dataset.full_batch()
         sparse = tiny_mask.build_sparse(batch)
         dense = tiny_mask.build(batch)
         model = LTEModel(tiny_config, np.random.default_rng(5))
-        with nn.use_fused_kernels(fused), nn.use_default_dtype(exchange_dtype):
+        with nn.execution(fused_kernels=fused):
             out_d = model(batch, dense, teacher_forcing=True)
             out_s = model(batch, sparse, teacher_forcing=True)
             model.eval()
@@ -207,7 +207,7 @@ class TestSparseSoftmaxEquivalence:
             builder = ConstraintMaskBuilder(tiny_world.network, radius=400.0)
             trainer = LocalTrainer(model, builder, TrainingConfig(batch_size=8),
                                    np.random.default_rng(13))
-            with nn.use_sparse_masks(flag):
+            with nn.execution(sparse_masks=flag):
                 losses[label] = trainer.train_epoch(tiny_dataset)
         np.testing.assert_allclose(losses["sparse"], losses["dense"],
                                    rtol=1e-6)
@@ -221,7 +221,8 @@ class TestEdgeDensities:
 
     def _check(self, sparse: SparseConstraintMask, rng):
         dense = self._dense_from(sparse)
-        x = rng.standard_normal(dense.shape).astype(nn.get_compute_dtype())
+        dtype = nn.current_execution().compute_dtype
+        x = rng.standard_normal(dense.shape).astype(dtype)
         g = rng.standard_normal(dense.shape)
         tol = _sparse_dense_tol()
         (out_d, grad_d), (out_s, grad_s) = _grad_pair(x, dense, sparse, g)
@@ -322,7 +323,7 @@ class TestRunnerShipsSparseFlag:
                                                         tiny_dataset,
                                                         tiny_config,
                                                         monkeypatch):
-        """The worker-side executor re-asserts the task's sparse-mask
+        """The worker-side executor runs under the task's sparse-mask
         flag (exercised in-process via the pool initializer hooks)."""
         from repro.core import TrainingConfig
         from repro.federated import runner as runner_mod
@@ -330,8 +331,7 @@ class TestRunnerShipsSparseFlag:
         from repro.federated.runner import RoundTask, WorkerSetup, _init_worker
 
         task_fields = RoundTask.__dataclass_fields__
-        assert "sparse_masks" in task_fields
-        assert task_fields["sparse_masks"].default is True
+        assert task_fields["execution"].default.sparse_masks is True
 
         builder = ConstraintMaskBuilder(tiny_world.network, radius=400.0)
         data = ClientData(train=tiny_dataset, valid=tiny_dataset,
@@ -348,25 +348,25 @@ class TestRunnerShipsSparseFlag:
         saved_worker = runner_mod._WORKER
 
         # Probe the flag while the task runs: _ensure_model_dtype is the
-        # first call the executor makes after asserting the task flags.
+        # first call the executor makes under the task's config.
         observed = []
         original_ensure = runner_mod._WorkerState._ensure_model_dtype
         monkeypatch.setattr(
             runner_mod._WorkerState, "_ensure_model_dtype",
-            lambda self: (observed.append(nn.sparse_masks_enabled()),
+            lambda self: (observed.append(nn.current_execution().sparse_masks),
                           original_ensure(self))[1])
         try:
             _init_worker(setup)
             for flag in (False, True):
-                with nn.use_sparse_masks(not flag):
+                with nn.execution(sparse_masks=not flag):
                     runner_mod._execute_task(RoundTask(
                         client_id=0, global_flat=flat, epochs=1,
-                        teacher_flat=None, session=None, sparse_masks=flag,
+                        teacher_flat=None, session=None,
+                        execution=nn.ExecutionConfig(sparse_masks=flag),
                     ))
                     assert observed[-1] is flag
                     # In-process execution restores the caller's flags
                     # (a task must not leak its precision/kernel state).
-                    assert nn.sparse_masks_enabled() is (not flag)
+                    assert nn.current_execution().sparse_masks is (not flag)
         finally:
             runner_mod._WORKER = saved_worker
-            nn.set_sparse_masks(True)

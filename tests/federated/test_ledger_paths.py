@@ -2,8 +2,8 @@
 
 Both the main Algorithm-3 rounds and the isolated "w/o FL" ablation now
 meter flat ``(P,)`` vectors, so their per-payload byte counts agree with
-each other and with ``P * itemsize`` — and both halve when the exchange
-dtype drops to float32.
+each other and with ``P * itemsize`` — and both halve (up to the
+payload header) under the ``float32`` codec.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro.federated import (
     build_federation,
     train_isolated_then_average,
 )
+from repro.federated.communication import PAYLOAD_HEADER_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -37,11 +38,11 @@ def lte_factory(config):
     return factory
 
 
-def one_round_config():
+def one_round_config(exchange_codec=None):
     return FederatedConfig(
         rounds=1, client_fraction=1.0, local_epochs=1,
         training=TrainingConfig(epochs=1, batch_size=8, lr=3e-3),
-        use_meta=False,
+        use_meta=False, exchange_codec=exchange_codec,
     )
 
 
@@ -78,20 +79,27 @@ class TestLedgerUnification:
 
 
 class TestFloat32Communication:
-    @pytest.mark.identity_exchange  # exchange-dtype halving only applies to raw vectors
+    """The ``float32`` codec halves every payload but its fixed header."""
+
+    @staticmethod
+    def _expected_half(full_bytes: int, tiny_config) -> int:
+        per_payload = 8 * nn.count_parameters(lte_factory(tiny_config)())
+        payloads = full_bytes // per_payload
+        return full_bytes // 2 + payloads * PAYLOAD_HEADER_BYTES
+
     def test_float32_exchange_halves_round_traffic(self, federation, mask,
                                                    tiny_config):
         clients, global_test = federation
 
-        def run():
+        def run(codec):
             return FederatedTrainer(lte_factory(tiny_config), clients, mask,
-                                    one_round_config(), global_test,
-                                    seed=0).run()
+                                    one_round_config(exchange_codec=codec),
+                                    global_test, seed=0).run()
 
-        full = run()
-        with nn.use_default_dtype("float32"):
-            half = run()
-        assert half.ledger.total_bytes * 2 == full.ledger.total_bytes
+        full = run("identity")
+        half = run("float32")
+        assert half.ledger.total_bytes == self._expected_half(
+            full.ledger.total_bytes, tiny_config)
         # Reduced wire precision barely perturbs one round of training:
         # the history stays numerically close to the float64 run.
         assert half.history[0].mean_loss == pytest.approx(
@@ -99,18 +107,17 @@ class TestFloat32Communication:
         assert half.history[0].global_accuracy == pytest.approx(
             full.history[0].global_accuracy, abs=0.05)
 
-    @pytest.mark.identity_exchange  # exchange-dtype halving only applies to raw vectors
     def test_float32_isolated_path_halves_too(self, federation, mask,
                                               tiny_config):
         clients, global_test = federation
 
-        def run():
+        def run(codec):
             return train_isolated_then_average(
-                lte_factory(tiny_config), clients, mask, one_round_config(),
-                global_test, seed=0,
+                lte_factory(tiny_config), clients, mask,
+                one_round_config(exchange_codec=codec), global_test, seed=0,
             )
 
-        full = run()
-        with nn.use_default_dtype("float32"):
-            half = run()
-        assert half.ledger.total_bytes * 2 == full.ledger.total_bytes
+        full = run("identity")
+        half = run("float32")
+        assert half.ledger.total_bytes == self._expected_half(
+            full.ledger.total_bytes, tiny_config)

@@ -8,13 +8,13 @@ serial run, so every figure/table output is unchanged.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing as mp
 import os
 
 import numpy as np
 import pytest
 
-from repro import nn
 from repro.core import ConstraintMaskBuilder, LTEModel, TrainingConfig
 from repro.federated import (
     FederatedConfig,
@@ -245,18 +245,20 @@ class TestFloat32Exchange:
     @needs_fork
     def test_parallel_matches_serial_under_float32(self, federation, mask,
                                                    tiny_config):
-        """The exchange dtype is re-asserted inside workers, so reduced
-        precision does not break serial/parallel equivalence."""
-        with nn.use_default_dtype("float32"):
-            serial, serial_flat = run_trainer(federation, mask, tiny_config,
-                                              workers=0, rounds=2)
-            parallel, parallel_flat = run_trainer(federation, mask, tiny_config,
-                                                  workers=2, rounds=2)
+        """The float32 codec encodes identically in workers, so reduced
+        wire precision does not break serial/parallel equivalence."""
+        runs = []
+        for workers in (0, 2):
+            clients, global_test = federation
+            config = dataclasses.replace(fed_config(workers=workers),
+                                         exchange_codec="float32")
+            trainer = FederatedTrainer(lte_factory(tiny_config), clients,
+                                       mask, config, global_test, seed=0)
+            runs.append((trainer.run(), trainer.server.global_flat()))
+        (serial, serial_flat), (parallel, parallel_flat) = runs
         assert serial.history == parallel.history
         assert np.array_equal(serial_flat, parallel_flat)
-        assert serial_flat.dtype == np.float32
         # Sync-back ships the exact float64 parameters alongside the
         # float32 upload: the live clients must not get rounded.
         for cs, cp in zip(serial.clients, parallel.clients):
-            assert np.array_equal(cs.flat_parameters(dtype=np.float64),
-                                  cp.flat_parameters(dtype=np.float64))
+            assert np.array_equal(cs.flat_parameters(), cp.flat_parameters())

@@ -59,7 +59,7 @@ class TestProfiling:
         assert report.flops > 0
         # Parameters live at the compute dtype, so the payload scales
         # with its itemsize (8 at float64, 4 at float32).
-        itemsize = nn.get_compute_dtype().itemsize
+        itemsize = nn.current_execution().compute_dtype.itemsize
         assert report.payload_bytes == model.num_parameters() * itemsize
         assert "LightTR" in str(report)
 

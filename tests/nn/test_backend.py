@@ -8,9 +8,8 @@ output — forward activations, gradients, decode log-probs, whole
 federated round histories — must be bit-identical to the reference
 backend, across fused on/off, sparse/dense masks, packed/padded decode,
 and both compute dtypes.  (The tier-1 suite additionally re-runs end to
-end under ``REPRO_BACKEND=workspace`` in CI.)  The ``numba`` backend is
-optional and import-gated: when the package is missing it simply never
-registers, and every kernel falls back to reference per the
+end under ``REPRO_BACKEND=workspace`` in CI.)  Backends without a
+registered kernel fall back to reference per the
 :func:`repro.nn.call_kernel` contract exercised below.
 """
 
@@ -33,8 +32,6 @@ needs_fork = pytest.mark.skipif(
     reason="no fork start method on this platform",
 )
 
-HAVE_NUMBA = "numba" in nn.available_backends()
-
 
 # ----------------------------------------------------------------------
 # selection API
@@ -42,53 +39,48 @@ HAVE_NUMBA = "numba" in nn.available_backends()
 class TestBackendConfig:
     def test_reference_is_the_default(self):
         # The suite may run under REPRO_BACKEND forcing, so assert the
-        # default through a fresh scope instead of globally.
-        with nn.use_backend("reference"):
-            assert nn.get_backend() == "reference"
+        # dataclass default rather than the process default.
+        assert nn.ExecutionConfig().backend == "reference"
 
-    def test_set_returns_previous_and_context_restores(self):
-        before = nn.get_backend()
-        previous = nn.set_backend("workspace")
-        assert previous == before
-        assert nn.get_backend() == "workspace"
-        nn.set_backend(previous)
-        assert nn.get_backend() == before
+    def test_execution_scopes_and_restores(self):
+        before = nn.current_execution().backend
+        with nn.execution(backend="workspace") as config:
+            assert config.backend == "workspace"
+            assert nn.current_execution().backend == "workspace"
+        assert nn.current_execution().backend == before
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):
-            nn.set_backend("cuda")
+            with nn.execution(backend="cuda"):
+                pass
 
     def test_builtin_backends_are_registered(self):
         names = nn.available_backends()
         assert "reference" in names
         assert "workspace" in names
 
-    def test_generation_moves_only_on_real_switches(self):
-        with nn.use_backend("reference"):
-            start = nn.backend_generation()
-            assert nn.set_backend("reference") == "reference"
-            assert nn.backend_generation() == start  # no-op switch
-            with nn.use_backend("workspace"):
-                assert nn.backend_generation() == start + 1
-            assert nn.backend_generation() == start + 2  # restored
-
     def test_reference_ops_bind_numpy_directly(self):
-        """Dispatch overhead by construction: under the reference
-        backend the ops attributes *are* the NumPy functions."""
-        with nn.use_backend("reference"):
-            assert backend_mod.ops.exp is np.exp
-            assert backend_mod.ops.matmul is np.matmul
-            # np.add.at is a fresh bound-method object per access, so
-            # compare the underlying ufunc instead of identity.
-            assert backend_mod.ops.add_at.__self__ is np.add
+        """Dispatch overhead by construction: the ops attributes *are*
+        the NumPy functions."""
+        assert backend_mod.ops.exp is np.exp
+        assert backend_mod.ops.matmul is np.matmul
+        # np.add.at is a fresh bound-method object per access, so
+        # compare the underlying ufunc instead of identity.
+        assert backend_mod.ops.add_at.__self__ is np.add
 
-    def test_ops_namespace_rejects_non_op_names(self):
-        with pytest.raises(AttributeError):
-            backend_mod.ops.not_an_op = np.exp
+    def test_workspace_pool_is_per_thread(self):
+        """A serving worker and a training thread must never share
+        scratch buffers."""
+        import threading
 
-    def test_backend_validates_op_overrides(self):
-        with pytest.raises(ValueError, match="unknown op names"):
-            nn.ArrayBackend("bad", op_overrides={"not_an_op": np.exp})
+        mine = backend_mod.workspace.take((3,), np.float64, "t")
+        theirs = []
+        thread = threading.Thread(target=lambda: theirs.append(
+            backend_mod.workspace.take((3,), np.float64, "t")))
+        thread.start()
+        thread.join()
+        assert theirs[0] is not mine
+        assert backend_mod.workspace.take((3,), np.float64, "t") is mine
 
 
 # ----------------------------------------------------------------------
@@ -103,16 +95,16 @@ class TestKernelRegistry:
             calls.append("ref")
             return a + b
 
-        with nn.use_backend("t-empty"):
+        with nn.execution(backend="t-empty"):
             assert nn.call_kernel("nope", reference, 1, 2) == 3
         assert calls == ["ref"]
 
     def test_registered_kernel_is_used(self):
         nn.register_backend(nn.ArrayBackend("t-impl"))
         nn.register_kernel("t-impl", "double", lambda x: x * 2)
-        with nn.use_backend("t-impl"):
+        with nn.execution(backend="t-impl"):
             assert nn.call_kernel("double", lambda x: -x, 21) == 42
-        with nn.use_backend("reference"):
+        with nn.execution(backend="reference"):
             assert nn.call_kernel("double", lambda x: -x, 21) == -21
 
     def test_raising_kernel_falls_back_and_is_disabled(self):
@@ -124,7 +116,7 @@ class TestKernelRegistry:
             raise RuntimeError("kernel exploded")
 
         nn.register_kernel("t-boom", "k", broken)
-        with nn.use_backend("t-boom"):
+        with nn.execution(backend="t-boom"):
             assert nn.call_kernel("k", lambda x: x + 1, 1) == 2
             # Disabled after the first raise: the broken impl never
             # runs again in this process.
@@ -151,7 +143,7 @@ class TestKernelRegistry:
         x = rng.standard_normal((3, 6, 4))
         results = []
         for name in ("reference", "workspace"):
-            with nn.use_backend(name):
+            with nn.execution(backend=name):
                 lstm = nn.LSTM(4, 8, np.random.default_rng(2))
                 outputs, _last = lstm(nn.Tensor(x, requires_grad=True))
                 outputs.sum().backward()
@@ -166,8 +158,8 @@ class TestKernelRegistry:
 # ----------------------------------------------------------------------
 def _forward_backward(backend, tiny_config, tiny_dataset, tiny_world,
                       fused=True, sparse=True):
-    with nn.use_backend(backend), nn.use_fused_kernels(fused), \
-            nn.use_sparse_masks(sparse):
+    with nn.execution(backend=backend, fused_kernels=fused,
+                      sparse_masks=sparse):
         model = LTEModel(tiny_config, np.random.default_rng(0))
         builder = ConstraintMaskBuilder(tiny_world.network, radius=400.0)
         batch = tiny_dataset.full_batch()
@@ -202,8 +194,8 @@ class TestReferenceVsWorkspaceBitwise:
                     sparse):
         results = []
         for backend in ("reference", "workspace"):
-            with nn.use_backend(backend), nn.use_packed_decode(packed), \
-                    nn.use_sparse_masks(sparse):
+            with nn.execution(backend=backend, packed_decode=packed,
+                              sparse_masks=sparse):
                 model = LTEModel(tiny_config, np.random.default_rng(11))
                 model.eval()
                 builder = ConstraintMaskBuilder(tiny_world.network,
@@ -221,7 +213,7 @@ class TestReferenceVsWorkspaceBitwise:
     def test_one_epoch_bitwise(self, tiny_config, tiny_dataset, tiny_world):
         results = {}
         for backend in ("reference", "workspace"):
-            with nn.use_backend(backend):
+            with nn.execution(backend=backend):
                 model = LTEModel(tiny_config, np.random.default_rng(3))
                 builder = ConstraintMaskBuilder(tiny_world.network,
                                                 radius=400.0)
@@ -245,7 +237,7 @@ class TestReferenceVsWorkspaceBitwise:
         float32 reference bit for bit."""
         results = {}
         for backend in ("reference", "workspace"):
-            with nn.use_compute_dtype("float32"), nn.use_backend(backend):
+            with nn.execution(compute_dtype="float32", backend=backend):
                 model = LTEModel(tiny_config, np.random.default_rng(3))
                 builder = ConstraintMaskBuilder(tiny_world.network,
                                                 radius=400.0)
@@ -268,60 +260,28 @@ class TestReferenceVsWorkspaceBitwise:
 
 
 # ----------------------------------------------------------------------
-# numba backend (present only when the package imports)
-# ----------------------------------------------------------------------
-class TestNumbaGating:
-    def test_numba_registration_matches_importability(self):
-        try:
-            import numba  # noqa: F401
-            importable = True
-        except Exception:
-            importable = False
-        assert HAVE_NUMBA == importable
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed: selectable")
-    def test_missing_numba_is_not_selectable(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            nn.set_backend("numba")
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_numba_scan_tracks_reference(self, tiny_config, tiny_dataset,
-                                         tiny_world):
-        out_ref, loss_ref, _ = _forward_backward(
-            "reference", tiny_config, tiny_dataset, tiny_world)
-        out_nb, loss_nb, _ = _forward_backward(
-            "numba", tiny_config, tiny_dataset, tiny_world)
-        # Jitted activations (numba's own exp/tanh, fused chains) are
-        # not bitwise: tolerance, well inside float32 resolution.
-        np.testing.assert_allclose(out_nb.log_probs.data,
-                                   out_ref.log_probs.data, atol=1e-6)
-        np.testing.assert_array_equal(out_nb.segments, out_ref.segments)
-        assert abs(loss_nb - loss_ref) / abs(loss_ref) < 1e-6
-
-
-# ----------------------------------------------------------------------
 # backend switches invalidate lazily-built caches
 # ----------------------------------------------------------------------
 class TestBackendCacheKeying:
     def test_collation_cache_is_backend_keyed(self, tiny_dataset):
-        with nn.use_backend("reference"):
+        with nn.execution(backend="reference"):
             b_ref = tiny_dataset.full_batch()
-        with nn.use_backend("workspace"):
+        with nn.execution(backend="workspace"):
             b_ws = tiny_dataset.full_batch()
         assert b_ref is not b_ws  # distinct cache entries per backend
         np.testing.assert_array_equal(b_ref.tgt_segments, b_ws.tgt_segments)
-        with nn.use_backend("reference"):
+        with nn.execution(backend="reference"):
             assert tiny_dataset.full_batch() is b_ref  # still cached
 
     def test_sparse_value_mirror_rebuilds_on_backend_switch(self, tiny_world,
                                                             tiny_dataset):
         builder = ConstraintMaskBuilder(tiny_world.network, radius=400.0)
         batch = tiny_dataset.full_batch()
-        with nn.use_compute_dtype("float32"):
-            with nn.use_backend("reference"):
+        with nn.execution(compute_dtype="float32"):
+            with nn.execution(backend="reference"):
                 builder.build_sparse(batch)
                 mirror_ref = builder._sp_values_cast
-            with nn.use_backend("workspace"):
+            with nn.execution(backend="workspace"):
                 sparse_ws = builder.build_sparse(batch)
                 mirror_ws = builder._sp_values_cast
         assert mirror_ref is not None
@@ -333,16 +293,16 @@ class TestBackendCacheKeying:
                                                          tiny_dataset):
         builder = ConstraintMaskBuilder(tiny_world.network, radius=400.0)
         batch = tiny_dataset.full_batch()
-        with nn.use_backend("reference"):
+        with nn.execution(backend="reference"):
             dense_ref = builder.build(batch)
             matrix_ref = builder._row_matrix
-        with nn.use_backend("workspace"):
+        with nn.execution(backend="workspace"):
             dense_ws = builder.build(batch)
             matrix_ws = builder._row_matrix
         assert matrix_ws is not matrix_ref
         np.testing.assert_array_equal(dense_ws, dense_ref)
 
-    def test_step_plan_cache_clears_on_generation_move(self):
+    def test_step_plan_matches_reference_step(self):
         from repro.core import mask as mask_mod
 
         indptr = np.array([0, 1, 2, 3, 4], dtype=np.int64)
@@ -351,22 +311,13 @@ class TestBackendCacheKeying:
             np.linspace(-1.0, -0.1, 4))
         rows = np.arange(2, dtype=np.int64)
         key = (id(sm), rows.tobytes())
-        with nn.use_backend("workspace"):
-            step_ref = sm.step(0, rows)
-            stepped = mask_mod._mask_step_planned(sm, 0, rows)
-            assert key in mask_mod._STEP_PLANS
-            np.testing.assert_array_equal(stepped.to_dense(),
-                                          step_ref.to_dense())
-        # A real backend switch moves the generation (a no-op switch —
-        # e.g. when the ambient backend is already workspace via
-        # REPRO_BACKEND — deliberately does not); after the move the
-        # next planned call must rebuild rather than serve the stale
-        # plan.
-        with nn.use_backend("reference"):
-            pass
-        with nn.use_backend("workspace"):
-            mask_mod._mask_step_planned(sm, 1, rows)
-            assert mask_mod._STEP_PLANS[key].t0 == 1  # fresh, not the t0=0 one
+        with nn.execution(backend="reference"):
+            expected = [sm.step(t, rows).to_dense() for t in (0, 1)]
+        with nn.execution(backend="workspace"):
+            for t in (0, 1):
+                stepped = mask_mod._mask_step_planned(sm, t, rows)
+                assert key in mask_mod._STEP_PLANS
+                np.testing.assert_array_equal(stepped.to_dense(), expected[t])
 
 
 # ----------------------------------------------------------------------
@@ -376,8 +327,9 @@ class TestFederatedBackendShipping:
     def test_round_task_ships_backend(self):
         from repro.federated.runner import RoundTask
 
-        assert RoundTask.__dataclass_fields__["backend"].default \
-            == "reference"
+        default = RoundTask.__dataclass_fields__["execution"].default
+        assert default == nn.ExecutionConfig()
+        assert default.backend == "reference"
 
     def _run(self, tiny_world, tiny_config, workers):
         clients, global_test = build_federation(tiny_world, num_clients=3,
@@ -399,15 +351,15 @@ class TestFederatedBackendShipping:
     @needs_fork
     def test_workspace_serial_and_parallel_bit_identical(self, tiny_world,
                                                          tiny_config):
-        """Workers re-assert the shipped backend, so a parallel run
+        """Workers run under the shipped backend, so a parallel run
         under the workspace backend reproduces the serial run exactly —
         which, by the workspace contract, is also the reference run."""
-        with nn.use_backend("workspace"):
+        with nn.execution(backend="workspace"):
             ws_serial_history, ws_serial_flat = self._run(
                 tiny_world, tiny_config, workers=0)
             ws_parallel_history, ws_parallel_flat = self._run(
                 tiny_world, tiny_config, workers=2)
-        with nn.use_backend("reference"):
+        with nn.execution(backend="reference"):
             ref_history, ref_flat = self._run(tiny_world, tiny_config,
                                               workers=0)
         assert ws_serial_history == ws_parallel_history

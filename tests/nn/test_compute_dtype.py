@@ -4,7 +4,7 @@ float32-vs-float64 equivalences.
 
 Complements the dtype-parametrized tier-1 contracts (which re-run under
 ``REPRO_COMPUTE_DTYPE=float32`` in CI): here every test pins its own
-compute dtype via :func:`repro.nn.use_compute_dtype`, so the float32
+compute dtype via ``nn.execution(compute_dtype=...)``, so the float32
 claims hold no matter which substrate the suite as a whole runs on.
 
 Audited float32 tolerances (measured on the tiny world, ~25x margin):
@@ -48,32 +48,23 @@ class TestDtypeConfig:
     def test_float64_is_the_default_reference(self):
         # The suite may be running under REPRO_COMPUTE_DTYPE forcing, so
         # assert the default through a fresh scope instead of globally.
-        with nn.use_compute_dtype("float64"):
-            assert nn.get_compute_dtype() == F64
+        assert nn.ExecutionConfig().compute_dtype == F64
+        with nn.execution(compute_dtype="float64"):
+            assert nn.current_execution().compute_dtype == F64
             assert nn.Tensor([1.0]).data.dtype == F64
 
-    def test_set_returns_previous_and_context_restores(self):
-        before = nn.get_compute_dtype()
-        previous = nn.set_compute_dtype("float32")
-        assert previous == before
-        assert nn.get_compute_dtype() == F32
-        nn.set_compute_dtype(previous)
-        with nn.use_compute_dtype("float32"):
-            assert nn.get_compute_dtype() == F32
-        assert nn.get_compute_dtype() == before
+    def test_execution_scopes_and_restores(self):
+        before = nn.current_execution().compute_dtype
+        with nn.execution(compute_dtype="float32") as config:
+            assert config.compute_dtype == F32
+            assert nn.current_execution().compute_dtype == F32
+        assert nn.current_execution().compute_dtype == before
 
     def test_rejects_non_float_dtypes(self):
         for bad in ("int64", "float16", "complex128"):
             with pytest.raises(ValueError):
-                nn.set_compute_dtype(bad)
-
-    def test_compute_and_exchange_dtypes_are_independent(self):
-        with nn.use_compute_dtype("float32"):
-            assert nn.get_default_dtype() == F64  # exchange untouched
-            with nn.use_default_dtype("float32"):
-                assert nn.get_compute_dtype() == F32
-                assert nn.get_default_dtype() == F32
-            assert nn.get_default_dtype() == F64
+                with nn.execution(compute_dtype=bad):
+                    pass
 
 
 # ----------------------------------------------------------------------
@@ -81,7 +72,7 @@ class TestDtypeConfig:
 # ----------------------------------------------------------------------
 class TestDtypePropagation:
     def test_tensor_ops_stay_in_compute_dtype(self, fresh_rng):
-        with nn.use_compute_dtype("float32"):
+        with nn.execution(compute_dtype="float32"):
             a = nn.Tensor(fresh_rng.standard_normal((4, 5)), requires_grad=True)
             b = nn.Tensor(fresh_rng.standard_normal((5, 3)))
             out = ((a @ b).tanh() * 2.0 + 1.0).sigmoid()
@@ -90,7 +81,7 @@ class TestDtypePropagation:
             assert a.grad.dtype == F32
 
     def test_modules_and_fused_scans_stay_float32(self, fresh_rng):
-        with nn.use_compute_dtype("float32"):
+        with nn.execution(compute_dtype="float32"):
             gru = nn.GRU(6, 8, fresh_rng)
             assert all(p.data.dtype == F32 for p in gru.parameters())
             x = nn.Tensor(fresh_rng.standard_normal((3, 7, 6)),
@@ -102,7 +93,7 @@ class TestDtypePropagation:
             assert all(p.grad.dtype == F32 for p in gru.parameters())
 
     def test_load_state_dict_keeps_compute_dtype(self, fresh_rng):
-        with nn.use_compute_dtype("float32"):
+        with nn.execution(compute_dtype="float32"):
             layer = nn.Linear(4, 3, fresh_rng)
             state = {k: v.astype(np.float64)  # a float64 checkpoint
                      for k, v in layer.state_dict().items()}
@@ -112,7 +103,7 @@ class TestDtypePropagation:
     def test_collation_and_mask_follow_compute_dtype(self, tiny_dataset,
                                                      tiny_mask):
         for dtype in (F64, F32):
-            with nn.use_compute_dtype(dtype):
+            with nn.execution(compute_dtype=dtype):
                 batch = tiny_dataset.full_batch()
                 assert batch.obs_feats.dtype == dtype
                 assert batch.tgt_ratios.dtype == dtype
@@ -127,9 +118,9 @@ class TestDtypePropagation:
                                               dense.astype(dtype))
 
     def test_collation_cache_is_dtype_keyed(self, tiny_dataset):
-        with nn.use_compute_dtype("float64"):
+        with nn.execution(compute_dtype="float64"):
             b64 = tiny_dataset.full_batch()
-        with nn.use_compute_dtype("float32"):
+        with nn.execution(compute_dtype="float32"):
             b32 = tiny_dataset.full_batch()
         assert b64.tgt_ratios.dtype == F64
         assert b32.tgt_ratios.dtype == F32
@@ -140,7 +131,7 @@ class TestDtypePropagation:
 # float32 vs the float64 reference (the FD-replacement audit)
 # ----------------------------------------------------------------------
 def _forward_backward(dtype, tiny_config, tiny_dataset, tiny_world):
-    with nn.use_compute_dtype(dtype):
+    with nn.execution(compute_dtype=dtype):
         model = LTEModel(tiny_config, np.random.default_rng(0))
         builder = ConstraintMaskBuilder(tiny_world.network, radius=400.0)
         batch = tiny_dataset.full_batch()
@@ -172,7 +163,7 @@ class TestFloat32VsFloat64Reference:
                                                    tiny_dataset, tiny_world):
         results = {}
         for dtype in ("float64", "float32"):
-            with nn.use_compute_dtype(dtype):
+            with nn.execution(compute_dtype=dtype):
                 model = LTEModel(tiny_config, np.random.default_rng(3))
                 builder = ConstraintMaskBuilder(tiny_world.network,
                                                 radius=400.0)
@@ -193,7 +184,7 @@ class TestFloat32VsFloat64Reference:
 # ----------------------------------------------------------------------
 class TestOptimizerMasterWeights:
     def _train_steps(self, dtype, steps=3):
-        with nn.use_compute_dtype(dtype):
+        with nn.execution(compute_dtype=dtype):
             rng = np.random.default_rng(7)
             layer = nn.Linear(6, 4, rng)
             optimizer = nn.Adam(layer.parameters(), lr=1e-2)
@@ -220,7 +211,7 @@ class TestOptimizerMasterWeights:
             np.testing.assert_allclose(p32.data, p64.data, atol=1e-5)
 
     def test_sgd_momentum_buffer_is_float64(self):
-        with nn.use_compute_dtype("float32"):
+        with nn.execution(compute_dtype="float32"):
             rng = np.random.default_rng(1)
             layer = nn.Linear(3, 2, rng)
             optimizer = nn.SGD(layer.parameters(), lr=0.1, momentum=0.9)
@@ -234,7 +225,7 @@ class TestOptimizerMasterWeights:
     def test_fallback_loop_preserves_parameter_dtype(self):
         """The per-parameter path (a grad-less parameter) must not let
         float64 master arithmetic leak into float32 storage."""
-        with nn.use_compute_dtype("float32"):
+        with nn.execution(compute_dtype="float32"):
             rng = np.random.default_rng(2)
             used = nn.Linear(3, 2, rng)
             unused = nn.Linear(3, 2, rng)
@@ -255,7 +246,7 @@ class TestServingAtFloat32:
     def test_packed_matches_padded_bitwise_at_float32(self, tiny_config,
                                                       tiny_dataset,
                                                       tiny_world):
-        with nn.use_compute_dtype("float32"):
+        with nn.execution(compute_dtype="float32"):
             model = LTEModel(tiny_config, np.random.default_rng(11))
             model.eval()
             builder = ConstraintMaskBuilder(tiny_world.network, radius=400.0)
@@ -263,7 +254,7 @@ class TestServingAtFloat32:
             log_mask = builder.build_for(batch, model)
             with nn.no_grad():
                 packed = decode_model(model, batch, log_mask)
-                with nn.use_packed_decode(False):
+                with nn.execution(packed_decode=False):
                     padded = decode_model(model, batch, log_mask)
             assert packed.log_probs.data.dtype == F32
             assert packed.ratios.data.dtype == F32
@@ -303,7 +294,7 @@ class TestFederatedAtFloat32:
     @needs_fork
     def test_serial_and_parallel_histories_bit_identical(self, tiny_world,
                                                          tiny_config):
-        with nn.use_compute_dtype("float32"):
+        with nn.execution(compute_dtype="float32"):
             serial_history, serial_flat = self._run(tiny_world, tiny_config,
                                                     workers=0)
             parallel_history, parallel_flat = self._run(tiny_world,
@@ -313,11 +304,11 @@ class TestFederatedAtFloat32:
         np.testing.assert_array_equal(serial_flat, parallel_flat)
 
     def test_round_task_ships_compute_dtype(self, tiny_world, tiny_config):
-        """Tasks snapshot the active compute dtype so workers re-assert
-        it (the serial path reads the same global directly)."""
+        """Tasks carry the submitter's execution config, compute dtype
+        included, so workers run at the same precision."""
         from repro.federated.runner import RoundTask
 
-        assert RoundTask.__dataclass_fields__["compute_dtype"].default \
-            == "float64"
-        with nn.use_compute_dtype("float32"):
-            assert nn.get_compute_dtype().name == "float32"
+        default = RoundTask.__dataclass_fields__["execution"].default
+        assert default.compute_dtype == F64
+        with nn.execution(compute_dtype="float32"):
+            assert nn.current_execution().compute_dtype == F32

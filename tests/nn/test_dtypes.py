@@ -1,16 +1,13 @@
-"""The exchange-dtype switch (first slice of the float32 story).
+"""Flat-parameter gathers are float64 whatever the compute dtype.
 
-Training math stays float64 regardless of the knob (optimisers pass
-explicit float64 ``out`` buffers), so the equivalence tests elsewhere
-keep their tight tolerances; only payload allocation changes.  The
-federated-level effect (halved ledger bytes, serial == parallel) is
-covered in ``tests/federated``.
+Federated payloads, aggregation and optimiser buffers all work on
+float64 flat vectors; reduced-precision wire payloads are the job of
+the ``float32`` exchange codec (covered in ``tests/federated``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro import nn
 from repro.nn.flatten import FlatLayout, FlatParameterSpace
@@ -23,77 +20,37 @@ def make_space():
     return FlatParameterSpace(params)
 
 
-class TestKnob:
-    def test_default_is_float64(self):
-        assert nn.get_default_dtype() == np.float64
-
-    def test_set_returns_previous_and_context_restores(self):
-        previous = nn.set_default_dtype("float32")
-        try:
-            assert previous == np.float64
-            assert nn.get_default_dtype() == np.float32
-        finally:
-            nn.set_default_dtype(previous)
-        with nn.use_default_dtype(np.float32):
-            assert nn.get_default_dtype() == np.float32
-        assert nn.get_default_dtype() == np.float64
-
-    def test_rejects_non_float_dtypes(self):
-        for bad in ("int64", np.int32, "float16", "complex128"):
-            with pytest.raises(ValueError):
-                nn.set_default_dtype(bad)
-
-
-class TestFlatThreading:
-    def test_get_flat_honours_exchange_dtype(self):
+class TestFlatDtypes:
+    def test_get_flat_defaults_to_float64(self):
         space = make_space()
         assert space.get_flat().dtype == np.float64
-        with nn.use_default_dtype("float32"):
-            flat = space.get_flat()
+        with nn.execution(compute_dtype="float32"):
+            assert make_space().get_flat().dtype == np.float64
+
+    def test_explicit_dtype_and_out_are_honoured(self):
+        space = make_space()
+        flat = space.get_flat(dtype=np.float32)
         assert flat.dtype == np.float32
         assert flat.nbytes == space.total_size * 4
-
-    def test_explicit_dtype_and_out_override_the_knob(self):
-        space = make_space()
-        with nn.use_default_dtype("float32"):
-            assert space.get_flat(dtype=np.float64).dtype == np.float64
-            out = np.empty(space.total_size)
-            assert space.get_flat(out=out) is out
-            assert out.dtype == np.float64
+        out = np.empty(space.total_size)
+        assert space.get_flat(out=out) is out
 
     def test_float32_roundtrip_restores_parameters_within_eps(self):
         # The contract under test is float64 *storage* with a float32
-        # wire, so pin the compute dtype rather than inherit a forced
+        # copy, so pin the compute dtype rather than inherit a forced
         # float32 substrate.
-        with nn.use_compute_dtype("float64"):
+        with nn.execution(compute_dtype="float64"):
             space = make_space()
-            original = space.get_flat(dtype=np.float64)
-            with nn.use_default_dtype("float32"):
-                wire = space.get_flat()
-                space.set_flat(wire)
+            original = space.get_flat()
+            space.set_flat(space.get_flat(dtype=np.float32))
             # Parameters remain float64 storage; values rounded to float32.
             assert space.parameters[0].data.dtype == np.float64
-            np.testing.assert_allclose(space.get_flat(dtype=np.float64),
-                                       original, rtol=1e-7)
+            np.testing.assert_allclose(space.get_flat(), original, rtol=1e-7)
 
-    def test_flatten_state_honours_exchange_dtype(self):
+    def test_flatten_state_defaults_to_float64(self):
         state = {"w": np.zeros((2, 3)), "b": np.ones(4)}
         layout = FlatLayout.from_state(state)
         assert layout.flatten_state(state).dtype == np.float64
-        with nn.use_default_dtype("float32"):
-            assert layout.flatten_state(state).dtype == np.float32
+        assert layout.flatten_state(state, dtype=np.float32).dtype == np.float32
         # unflatten always restores float64 state arrays.
         assert layout.unflatten(np.zeros(10, dtype=np.float32))["w"].dtype == np.float64
-
-    def test_optimizer_math_stays_float64_under_float32_exchange(self):
-        # Float64-storage contract: pin the compute dtype (the float32
-        # substrate's master-weight contract is covered in
-        # tests/nn/test_compute_dtype.py).
-        with nn.use_compute_dtype("float64"):
-            params = [Parameter(np.ones(8), name="w")]
-            optimizer = nn.Adam(params, lr=1e-2)
-            params[0].grad = np.full(8, 0.5)
-            with nn.use_default_dtype("float32"):
-                optimizer.step()
-            assert params[0].data.dtype == np.float64
-            assert optimizer._m_flat.dtype == np.float64

@@ -20,7 +20,7 @@ LAYERS = [("rnn", nn.RNN), ("gru", nn.GRU), ("lstm", nn.LSTM)]
 
 def _run_layer(layer, x_data, mask, h0_data, fused):
     """One forward + seeded backward; returns outputs and all grads."""
-    with nn.use_fused_kernels(fused):
+    with nn.execution(fused_kernels=fused):
         x = Tensor(x_data, requires_grad=True)
         h0 = Tensor(h0_data, requires_grad=True) if h0_data is not None else None
         layer.zero_grad()
@@ -83,11 +83,11 @@ def test_fused_backward_matches_finite_differences(name, cls, fresh_rng):
         2, 4, layer.hidden_size)
 
     def loss_value():
-        with nn.no_grad(), nn.use_fused_kernels(True):
+        with nn.no_grad(), nn.execution(fused_kernels=True):
             outputs, _ = layer(Tensor(x_data))
         return float((outputs.data * seed).sum())
 
-    with nn.use_fused_kernels(True):
+    with nn.execution(fused_kernels=True):
         x = Tensor(x_data, requires_grad=True)
         layer.zero_grad()
         outputs, _ = layer(x)
@@ -111,13 +111,13 @@ def test_fused_backward_matches_finite_differences(name, cls, fresh_rng):
 
 
 def test_fused_is_default_and_flag_scopes():
-    assert nn.fused_kernels_enabled()
-    with nn.use_fused_kernels(False):
-        assert not nn.fused_kernels_enabled()
-        with nn.use_fused_kernels(True):
-            assert nn.fused_kernels_enabled()
-        assert not nn.fused_kernels_enabled()
-    assert nn.fused_kernels_enabled()
+    assert nn.current_execution().fused_kernels
+    with nn.execution(fused_kernels=False):
+        assert not nn.current_execution().fused_kernels
+        with nn.execution(fused_kernels=True):
+            assert nn.current_execution().fused_kernels
+        assert not nn.current_execution().fused_kernels
+    assert nn.current_execution().fused_kernels
 
 
 def test_fused_scan_without_grad_records_no_tape(fresh_rng):

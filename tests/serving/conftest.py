@@ -51,7 +51,7 @@ def served_lte(tiny_config, serving_dataset, tiny_mask):
 def make_request(serving_dataset, tiny_mask):
     """Build one request: ``(batch, log_mask)`` for a subset of the
     dataset's trajectories, with the mask in the ambient representation
-    (call under ``nn.use_sparse_masks`` to pick)."""
+    (call under ``nn.execution(sparse_masks=...)`` to pick)."""
 
     def build(indices, model):
         examples = [serving_dataset.examples[i] for i in indices]
@@ -79,7 +79,7 @@ def solo_reference(make_request):
         # pins the model, so a recycled id can never alias the cache.
         key = (model, tuple(indices), sparse, fused)
         if key not in cache:
-            with nn.use_sparse_masks(sparse), nn.use_fused_kernels(fused):
+            with nn.execution(sparse_masks=sparse, fused_kernels=fused):
                 batch, log_mask = build_args = make_request(indices, model)
                 with nn.no_grad():
                     output = decode_model(model, batch, log_mask)

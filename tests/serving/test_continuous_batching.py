@@ -98,7 +98,7 @@ class TestSoloEquivalenceProperty:
             data[j] = (batch, log_mask)
             refs[j] = (batch, output)
 
-        with nn.use_sparse_masks(sparse), nn.use_fused_kernels(fused):
+        with nn.execution(sparse_masks=sparse, fused_kernels=fused):
             batcher = ContinuousBatcher(served_lte, max_batch=max_batch)
             outcomes = _drive(batcher,
                               list(zip(arrivals.tolist(), range(n_requests))),
@@ -213,19 +213,36 @@ class TestSchedulerInvariants:
 
     def test_mixed_flag_requests_never_share_a_set(self, served_lte,
                                                    solo_reference):
-        """Requests captured under different flags are admitted into
-        different working-set generations, each served under its own
-        flags bit-identically."""
+        """Requests captured under different execution configs are
+        admitted into different working-set generations, each served
+        under its own config bit-identically."""
         ref_sparse = solo_reference(served_lte, [0], sparse=True)
         ref_dense = solo_reference(served_lte, [1], sparse=False)
         batcher = ContinuousBatcher(served_lte, max_batch=4)
-        with nn.use_sparse_masks(True):
+        with nn.execution(sparse_masks=True):
             a = batcher.submit(ref_sparse[0], ref_sparse[1])
-        with nn.use_sparse_masks(False):
+        with nn.execution(sparse_masks=False):
             b = batcher.submit(ref_dense[0], ref_dense[1])
         outcomes = dict(batcher.drain())
         _assert_request_bitwise(outcomes[a], ref_sparse[0], ref_sparse[2])
         _assert_request_bitwise(outcomes[b], ref_dense[0], ref_dense[2])
+
+    def test_callers_grad_state_does_not_split_a_set(self, served_lte,
+                                                     solo_reference):
+        """Decode never records on the tape, so requests carry their
+        config with grad off: callers that differ only in their grad
+        state are admitted into the same working set."""
+        ref_a = solo_reference(served_lte, [0])
+        ref_b = solo_reference(served_lte, [1])
+        batcher = ContinuousBatcher(served_lte, max_batch=4)
+        a = batcher.submit(ref_a[0], ref_a[1])
+        with nn.no_grad():
+            b = batcher.submit(ref_b[0], ref_b[1])
+        outcomes = batcher.step()
+        assert batcher.admission_log == [a, b]  # both joined the first set
+        outcomes = dict(outcomes + batcher.drain())
+        _assert_request_bitwise(outcomes[a], ref_a[0], ref_a[2])
+        _assert_request_bitwise(outcomes[b], ref_b[0], ref_b[2])
 
     def test_per_request_decode_flops(self, served_lte, make_request):
         """Cost accounting prices true decode lengths, not padding."""
@@ -321,7 +338,7 @@ class TestLiveDecodeSetEngine:
         other = MTrajRecModel(tiny_config, np.random.default_rng(3))
         other.eval()
         batch_a, mask_a = make_request([0], served_lte)
-        with nn.use_sparse_masks(False):
+        with nn.execution(sparse_masks=False):
             batch_b, mask_b = make_request([0], other)
         live = DecodeSession().open()
         live.admit(self._program(served_lte, batch_a, mask_a), batch_a)

@@ -57,7 +57,7 @@ def lte(tiny_config, ragged_dataset, tiny_mask):
 
 
 def _decode(model, batch, log_mask, *, packed, decode_batch=None):
-    with nn.use_packed_decode(packed), nn.no_grad():
+    with nn.execution(packed_decode=packed), nn.no_grad():
         return decode_model(model, batch, log_mask, decode_batch=decode_batch)
 
 
@@ -76,7 +76,7 @@ class TestPackedVsPadded:
     def test_lte_bitwise_on_valid_steps(self, lte, ragged_dataset, tiny_mask,
                                         sparse):
         batch = ragged_dataset.full_batch()
-        with nn.use_sparse_masks(sparse):
+        with nn.execution(sparse_masks=sparse):
             log_mask = tiny_mask.build_for(batch, lte)
         packed = _decode(lte, batch, log_mask, packed=True)
         padded = _decode(lte, batch, log_mask, packed=False)
@@ -172,24 +172,16 @@ class TestPackedVsPadded:
         np.testing.assert_array_equal(packed.segments[valid],
                                       dense.segments[valid])
 
-    def test_float32_exchange_mode(self, lte, ragged_dataset, tiny_mask):
-        batch = ragged_dataset.full_batch()
-        log_mask = tiny_mask.build_for(batch, lte)
-        with nn.use_default_dtype("float32"):
-            packed = _decode(lte, batch, log_mask, packed=True)
-            padded = _decode(lte, batch, log_mask, packed=False)
-        _assert_valid_steps_bitwise(packed, padded, batch)
-
     def test_fused_off_falls_back_to_reference(self, lte, ragged_dataset,
                                                tiny_mask, float_tol):
         """Without fused kernels there is no LTE decode program; the
         serving layer must fall back to the per-step tape decode and
         still agree with the packed path at the fusion tolerance."""
         batch = ragged_dataset.full_batch()
-        with nn.use_sparse_masks(False):
+        with nn.execution(sparse_masks=False):
             log_mask = tiny_mask.build_for(batch, lte)
         packed = _decode(lte, batch, log_mask, packed=True)
-        with nn.use_fused_kernels(False):
+        with nn.execution(fused_kernels=False):
             assert lte.decode_program(batch, log_mask) is None
             reference = _decode(lte, batch, log_mask, packed=True)
         valid = batch.tgt_mask

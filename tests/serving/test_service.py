@@ -1,21 +1,26 @@
 """DecodeService: the async front-end over the continuous batcher.
 
 Covers the future-based submit/result API (results bitwise-equal to
-solo decodes), per-caller flag capture, queue-depth backpressure,
-admission deadlines, graceful drain/shutdown, and the FastAPI import
-gate — the suite runs hermetically with FastAPI absent (the numba
-pattern: optional dependency, never a test dependency) and smoke-tests
-the HTTP app when it happens to be installed.
+solo decodes), per-caller execution-config capture, training beside a
+live service, queue-depth backpressure, admission deadlines, graceful
+drain/shutdown, and the FastAPI import gate — the suite runs
+hermetically with FastAPI absent (optional dependency, never a test
+dependency) and smoke-tests the HTTP app when it happens to be
+installed.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from repro import nn
+from repro.core import ConstraintMaskBuilder, LTEModel
+from repro.core.training import LocalTrainer, TrainingConfig
 from repro.serving import (
     DeadlineExceededError,
     DecodeService,
@@ -62,14 +67,14 @@ class TestSubmitResult:
         assert stats["rejected"] == 0
 
     def test_flags_captured_per_caller(self, served_lte, solo_reference):
-        """Two callers with different ambient flags each get results
-        under their own configuration, from the same service."""
+        """Two callers with different execution configs each get
+        results under their own configuration, from the same service."""
         ref_sparse = solo_reference(served_lte, [0], sparse=True)
         ref_dense = solo_reference(served_lte, [1], sparse=False)
         with DecodeService(served_lte, max_batch=4) as service:
-            with nn.use_sparse_masks(True):
+            with nn.execution(sparse_masks=True):
                 a = service.submit(ref_sparse[0], ref_sparse[1])
-            with nn.use_sparse_masks(False):
+            with nn.execution(sparse_masks=False):
                 b = service.submit(ref_dense[0], ref_dense[1])
             _assert_request_bitwise(service.result(a, timeout=30),
                                     ref_sparse[0], ref_sparse[2])
@@ -80,6 +85,28 @@ class TestSubmitResult:
         with DecodeService(served_lte) as service:
             with pytest.raises(KeyError):
                 service.result(12345, timeout=1)
+
+    def test_result_finishing_just_after_a_timeout_is_kept(self, served_lte):
+        """The request completes between the timed-out wait and the
+        cleanup: the TimeoutError must not drop the handle, and the next
+        ``result`` returns the outcome exactly once."""
+        outcome = object()
+
+        class LateFuture(Future):
+            def result(self, timeout=None):
+                if not self.done():
+                    self.set_result(outcome)  # lands just after the wait
+                    raise TimeoutError
+                return super().result(timeout)
+
+        with DecodeService(served_lte) as service:
+            with service._cond:
+                service._futures[999] = LateFuture()
+            with pytest.raises(TimeoutError):
+                service.result(999, timeout=0.01)
+            assert service.result(999) is outcome
+            with pytest.raises(KeyError):
+                service.result(999)
 
     def test_concurrent_submitters(self, served_lte, solo_reference):
         """Many threads submitting at once: every request resolves to
@@ -188,7 +215,70 @@ class TestShutdown:
 
 
 # ----------------------------------------------------------------------
-# FastAPI import gating (the numba pattern: optional, never required)
+# a live service beside other work in the same process
+# ----------------------------------------------------------------------
+class TestTrainingBesideService:
+    @staticmethod
+    def _train(tiny_config, tiny_world, tiny_dataset):
+        model = LTEModel(tiny_config, np.random.default_rng(21))
+        trainer = LocalTrainer(
+            model, ConstraintMaskBuilder(tiny_world.network, radius=400.0),
+            TrainingConfig(epochs=2, batch_size=8), np.random.default_rng(22))
+        losses = trainer.train_epochs(tiny_dataset)
+        return losses, np.concatenate([p.data.ravel()
+                                       for p in model.parameters()])
+
+    def test_training_matches_a_solo_run_bitwise(self, served_lte,
+                                                 make_request, tiny_config,
+                                                 tiny_world, tiny_dataset):
+        """The service worker decodes with grad off, under each
+        submitter's config, from its own thread — none of which may
+        reach a trainer running in this thread.  A short switch
+        interval interleaves the two threads as finely as it can."""
+        solo_losses, solo_params = self._train(tiny_config, tiny_world,
+                                               tiny_dataset)
+        requests = []
+        for i, sparse in enumerate((True, False) * 3):
+            config = nn.ExecutionConfig(sparse_masks=sparse)
+            with nn.execution(config):
+                requests.append((config, make_request([i], served_lte)))
+        served, stop, errors = [], threading.Event(), []
+
+        def stream(service):
+            try:
+                while not stop.is_set():
+                    for config, request in requests:
+                        with nn.execution(config):
+                            handle = service.submit(*request)
+                        served.append(service.result(handle, timeout=30))
+            except Exception as error:  # surfaced after join
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with DecodeService(served_lte, max_batch=4) as service:
+                client = threading.Thread(target=stream, args=(service,))
+                client.start()
+                try:
+                    while not served and not errors:
+                        stop.wait(0.001)  # the service is live first
+                    losses, params = self._train(tiny_config, tiny_world,
+                                                 tiny_dataset)
+                finally:
+                    stop.set()
+                    client.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not client.is_alive()
+        assert errors == []
+        assert len(served) > len(requests)
+        assert losses == solo_losses
+        np.testing.assert_array_equal(params, solo_params)
+
+
+# ----------------------------------------------------------------------
+# FastAPI import gating (optional, never required)
 # ----------------------------------------------------------------------
 class TestApiGating:
     def test_availability_probe_matches_importability(self):

@@ -51,7 +51,7 @@ class TestRecoverySite:
     def test_predict_batch_packed_equals_padded(self, recovery, ragged_dataset):
         batch = ragged_dataset.full_batch()
         packed = recovery.predict_batch(batch)
-        with nn.use_packed_decode(False):
+        with nn.execution(packed_decode=False):
             padded = recovery.predict_batch(batch)
         valid = batch.tgt_mask
         np.testing.assert_array_equal(packed[0][valid], padded[0][valid])
@@ -97,7 +97,7 @@ class TestEvaluationSite:
                                                  ragged_dataset):
         model = LTEModel(tiny_config, np.random.default_rng(3))
         packed = evaluate_model(model, tiny_mask, ragged_dataset)
-        with nn.use_packed_decode(False):
+        with nn.execution(packed_decode=False):
             padded = evaluate_model(model, tiny_mask, ragged_dataset)
         assert packed == padded
 
@@ -113,7 +113,7 @@ class TestEvaluationSite:
                                                    ragged_dataset):
         model = LTEModel(tiny_config, np.random.default_rng(4))
         packed = model_segment_accuracy(model, tiny_mask, ragged_dataset)
-        with nn.use_packed_decode(False):
+        with nn.execution(packed_decode=False):
             padded = model_segment_accuracy(model, tiny_mask, ragged_dataset)
         assert packed == padded
 
@@ -138,7 +138,7 @@ class TestFallbacks:
         tape decode is the only differentiable one."""
         model = LTEModel(tiny_config, np.random.default_rng(6))
         batch = ragged_dataset.full_batch()
-        with nn.use_sparse_masks(False):
+        with nn.execution(sparse_masks=False):
             log_mask = tiny_mask.build_for(batch, model)
         output = model(batch, log_mask, teacher_forcing=False)
         assert output.log_probs.requires_grad

@@ -3,7 +3,9 @@
 Runs ``tools/check_backend.py`` (the same script CI or a human can run
 directly) so kernel modules cannot regress to direct ``np.*`` math that
 would silently bypass the selected array backend
-(:mod:`repro.nn.backend`).
+(:mod:`repro.nn.backend`), and so no ``global`` statement — the way a
+process-global execution switch would return — appears under
+``src/repro/nn/``.
 """
 
 from __future__ import annotations
@@ -49,3 +51,24 @@ def test_lint_actually_detects_violations(tmp_path):
         os.path.relpath(sample, check_backend.REPO_ROOT))
     assert problems == [f"{os.path.relpath(sample, check_backend.REPO_ROOT)}"
                         f":4: np.exp"]
+
+
+def test_lint_detects_global_statements(tmp_path):
+    """A ``global`` statement is flagged wherever it sits; the word in a
+    docstring or comment is not."""
+    sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
+    try:
+        import check_backend
+    finally:
+        sys.path.pop(0)
+    sample = tmp_path / "switches.py"
+    sample.write_text(
+        '"""A global flag would break scoping."""\n'
+        "_ENABLED = True  # global default\n"
+        "def set_enabled(value):\n"
+        "    global _ENABLED\n"
+        "    _ENABLED = value\n"
+    )
+    path = os.path.relpath(sample, check_backend.REPO_ROOT)
+    assert check_backend.check_no_globals(path) == [f"{path}:4: global _ENABLED"]
+    assert check_backend.check_nn_globals() == []

@@ -45,8 +45,7 @@ def test_performance_doc_covers_every_knob():
     """Each perf knob must be documented by its real, importable name."""
     with open(os.path.join(REPO_ROOT, "docs", "PERFORMANCE.md")) as handle:
         perf = handle.read()
-    for knob in ("workers", "use_fused_kernels", "use_sparse_masks",
-                 "set_default_dtype", "clear_batch_cache", "build_for",
+    for knob in ("workers", "execution", "clear_batch_cache", "build_for",
                  "warm"):
         assert knob in perf, f"PERFORMANCE.md does not document {knob!r}"
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Backend-seam lint: kernel modules must not call ``np.*`` directly.
+"""Backend-seam lint: kernel modules must not call ``np.*`` directly,
+and ``src/repro/nn/`` must hold no ``global`` statement.
 
 The pluggable array backend (``src/repro/nn/backend.py``) only works if
 every kernel-side array *operation* dispatches through its ``ops``
@@ -16,17 +17,24 @@ ndarray *method* calls (``x.sum(...)``, ``x @ w``, fancy indexing)
 never appear as ``np.`` attribute accesses and already dispatch through
 the array object, so they are out of scope by construction.
 
+The second check keeps execution state out of process globals: every
+switch (grad tape, fused kernels, sparse masks, packed decode, compute
+dtype, backend) lives in the context-scoped ``ExecutionConfig`` of
+``src/repro/nn/execution.py``, and a ``global`` statement anywhere under
+``src/repro/nn/`` is how such a switch would quietly come back.
+
 Run from the repo root (or let ``tests/test_backend_lint.py`` run it as
 part of the tier-1 suite):
 
     python tools/check_backend.py
 
-Exit status 0 means the seam is intact; failures list one
-``file:line: np.<name>`` entry each.
+Exit status 0 means both checks pass; failures list one
+``file:line: np.<name>`` or ``file:line: global <names>`` entry each.
 """
 
 from __future__ import annotations
 
+import ast
 import io
 import os
 import sys
@@ -104,6 +112,30 @@ def check_module(path: str) -> list[str]:
     return problems
 
 
+#: The package where execution state must stay context-scoped.
+NO_GLOBALS_DIR = "src/repro/nn"
+
+
+def check_no_globals(path: str) -> list[str]:
+    """``file:line: global <names>`` for every ``global`` statement."""
+    with open(os.path.join(REPO_ROOT, path), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    return [f"{path}:{node.lineno}: global {', '.join(node.names)}"
+            for node in ast.walk(tree) if isinstance(node, ast.Global)]
+
+
+def check_nn_globals(directory: str = NO_GLOBALS_DIR) -> list[str]:
+    """``global`` statements across every module under ``directory``."""
+    problems: list[str] = []
+    for dirpath, _dirnames, filenames in sorted(
+            os.walk(os.path.join(REPO_ROOT, directory))):
+        for filename in sorted(filenames):
+            if filename.endswith(".py"):
+                problems.extend(check_no_globals(os.path.relpath(
+                    os.path.join(dirpath, filename), REPO_ROOT)))
+    return problems
+
+
 def check_backend_seam(modules=KERNEL_MODULES) -> list[str]:
     """All seam violations across ``modules`` (empty list = clean)."""
     problems: list[str] = []
@@ -116,14 +148,25 @@ def check_backend_seam(modules=KERNEL_MODULES) -> list[str]:
 
 
 def main() -> int:
+    status = 0
     problems = check_backend_seam()
     if problems:
         print(f"backend-seam check: {len(problems)} direct np call(s)")
         for problem in problems:
             print(f"  {problem}")
-        return 1
-    print(f"backend-seam check: OK ({len(KERNEL_MODULES)} kernel modules)")
-    return 0
+        status = 1
+    else:
+        print(f"backend-seam check: OK ({len(KERNEL_MODULES)} kernel modules)")
+    problems = check_nn_globals()
+    if problems:
+        print(f"no-globals check: {len(problems)} global statement(s) "
+              f"under {NO_GLOBALS_DIR}")
+        for problem in problems:
+            print(f"  {problem}")
+        status = 1
+    else:
+        print(f"no-globals check: OK ({NO_GLOBALS_DIR})")
+    return status
 
 
 if __name__ == "__main__":
